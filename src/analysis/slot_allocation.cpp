@@ -1,12 +1,11 @@
 #include "analysis/slot_allocation.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 
 #include "runtime/parallel_search.hpp"
@@ -78,7 +77,7 @@ class SlotFeasibility {
       f.model = a.model.get();
       facts_.push_back(f);
     }
-    use_memo_ = facts_.size() <= 64;
+    if (facts_.size() <= kMaxMemoApps) memo_.assign(kInitialMemoCapacity, 0);
   }
 
   const AppFacts& facts(std::size_t i) const { return facts_[i]; }
@@ -87,29 +86,69 @@ class SlotFeasibility {
   /// increasing = priority order).  Equals
   /// analyze_slot({apps[members]...}, method).all_schedulable bit for bit.
   bool feasible(const std::vector<std::size_t>& members) {
-    if (!use_memo_) return compute(members);
+    if (memo_.empty()) return compute(members.data(), members.size());
     std::uint64_t mask = 0;
     for (std::size_t i : members) mask |= std::uint64_t{1} << i;
-    const auto it = memo_.find(mask);
-    if (it != memo_.end()) return it->second;
-    const bool ok = compute(members);
-    memo_.emplace(mask, ok);
-    return ok;
+    return memoized(mask, [&] { return compute(members.data(), members.size()); });
+  }
+
+  /// Schedulability of the slot whose members are the set bits of `mask`
+  /// (the search's form: no member list is materialized on a memo hit).
+  bool feasible_mask(std::uint64_t mask) {
+    const auto from_mask = [this, mask] {
+      std::size_t members[64];
+      std::size_t count = 0;
+      for (std::uint64_t rest = mask; rest != 0; rest &= rest - 1)
+        members[count++] = static_cast<std::size_t>(__builtin_ctzll(rest));
+      return compute(members, count);
+    };
+    return memo_.empty() ? from_mask() : memoized(mask, from_mask);
   }
 
  private:
-  bool compute(const std::vector<std::size_t>& members) const {
+  /// The memo stores `mask << 1 | verdict`, so masks need a spare bit.
+  static constexpr std::size_t kMaxMemoApps = 63;
+  static constexpr std::size_t kInitialMemoCapacity = 128;
+
+  /// Memoized verdict of `mask`: a flat open-addressing table (linear
+  /// probing, power-of-two capacity, load <= 3/4) whose words are
+  /// `mask << 1 | verdict`; 0 marks an empty word, as no mask is 0.
+  template <typename Compute>
+  bool memoized(std::uint64_t mask, Compute&& compute_verdict) {
+    std::size_t at = probe(mask);
+    if (memo_[at] != 0) return (memo_[at] & 1) != 0;
+    const bool ok = compute_verdict();
+    if (4 * (memo_size_ + 1) > 3 * memo_.size()) {
+      const std::vector<std::uint64_t> old = std::move(memo_);
+      memo_.assign(2 * old.size(), 0);
+      for (const std::uint64_t word : old)
+        if (word != 0) memo_[probe(word >> 1)] = word;
+      at = probe(mask);
+    }
+    memo_[at] = mask << 1 | (ok ? 1 : 0);
+    ++memo_size_;
+    return ok;
+  }
+
+  /// Index of `mask`'s word, or of the empty word where it belongs.
+  std::size_t probe(std::uint64_t mask) const {
+    const std::size_t wrap = memo_.size() - 1;
+    std::size_t at = static_cast<std::size_t>((mask * 0x9E3779B97F4A7C15ULL) >> 32) & wrap;
+    while (memo_[at] != 0 && (memo_[at] >> 1) != mask) at = (at + 1) & wrap;
+    return at;
+  }
+
+  bool compute(const std::size_t* members, std::size_t count) const {
     // Mirrors analyze_slot member by member — including evaluating every
     // member rather than stopping at the first failure, so an exception a
     // later member would raise (fixed-point non-convergence) surfaces
     // exactly as in the reference path.  Keep in sync with
     // analysis/schedulability.cpp (the semantic source of this math).
     bool all_ok = true;
-    for (std::size_t i = 0; i < members.size(); ++i) {
+    for (std::size_t i = 0; i < count; ++i) {
       // Blocking a (Eq. 8): largest lower-priority max dwell.
       double a = 0.0;
-      for (std::size_t k = i + 1; k < members.size(); ++k)
-        a = std::max(a, facts_[members[k]].xi_m);
+      for (std::size_t k = i + 1; k < count; ++k) a = std::max(a, facts_[members[k]].xi_m);
       // Interference utilization m (Eq. 19).
       double m = 0.0;
       for (std::size_t j = 0; j < i; ++j) m += facts_[members[j]].util;
@@ -150,8 +189,8 @@ class SlotFeasibility {
 
   MaxWaitMethod method_;
   std::vector<AppFacts> facts_;
-  bool use_memo_ = false;
-  std::unordered_map<std::uint64_t, bool> memo_;
+  std::vector<std::uint64_t> memo_;  ///< empty when the fleet exceeds kMaxMemoApps
+  std::size_t memo_size_ = 0;
 };
 
 /// Dedicated-slot feasibility of one application, throwing the shared
@@ -211,10 +250,18 @@ std::vector<std::vector<AppSchedParams>> materialize(
 // ---------------------------------------------------------------------------
 // Branch-and-bound machinery for optimal_allocate.
 //
+// One search: a canonical depth-first pass bounded at k slots finds the
+// FIRST partition into <= k slots in canonical order (applications in
+// index order; each tries the existing slots by index, then a new
+// slot), or proves none exists.  optimal_allocate runs it at k = root
+// lower bound, k + 1, ... below the first-fit count, so the first level
+// that finds a partition is the optimum and its partition is the
+// canonical-first optimal witness — the one the pre-optimization
+// search returns.
+//
 // Four pruning layers sit on top of the feasibility engine; each is SOUND
-// (it never excludes every optimal partition, and in the witness pass it
-// never excludes the canonical-first witness), so the proven count and
-// the returned partition stay bit-identical to the reference search:
+// (it never excludes the canonical-first partition of a level), so the
+// returned partition stays bit-identical to the reference search:
 //
 //  * Conflict pairs: (i, j) such that NO slot containing both can be
 //    feasible.  The screen rests on monotone wait growth — adding slot
@@ -252,51 +299,57 @@ constexpr std::size_t kNoTwin = static_cast<std::size_t>(-1);
 
 std::uint64_t bit_of(std::size_t i) { return std::uint64_t{1} << i; }
 
-/// Shared search state for the branch-and-bound passes.  Note that a
+/// A node of the canonical search tree: apps [0, next) are placed.  A
 /// partial partition is reachable by exactly one choice sequence (apps are
-/// placed in index order and blocks are identified by their lowest-index
-/// member), so no transposition bookkeeping is needed — distinct nodes are
-/// distinct states.
+/// placed in index order and slots are identified by their lowest-index
+/// member), so no transposition bookkeeping is needed.
 struct SearchState {
-  std::vector<std::vector<std::size_t>> blocks;
-  std::vector<double> loads;
-  std::vector<std::uint64_t> masks;  ///< membership bitmask per slot
+  struct Slot {
+    std::uint64_t mask;     ///< members; increasing bits = priority order
+    double load;            ///< in-order sum of the members' utilizations
+    std::uint64_t tested;   ///< apps whose extension of `mask` was tested
+    std::uint64_t accepts;  ///< tested apps the slot accepts
+  };
+  std::vector<Slot> slots;
   std::vector<std::size_t> slot_of;  ///< slot index of each placed app
 
   explicit SearchState(std::size_t n) : slot_of(n, 0) {}
 
-  void push(std::size_t slot, std::size_t app, double util) {
-    blocks[slot].push_back(app);
-    loads[slot] += util;  // appending keeps this the exact in-order sum
-    masks[slot] |= bit_of(app);
-    slot_of[app] = slot;
+  /// Feasibility of slot s plus app i, probing the engine at most once
+  /// per (slot contents, app): the tested/accepts bits live until the
+  /// slot's membership changes, and push()/pop() save and restore them.
+  bool accepts_app(std::size_t s, std::size_t i, SlotFeasibility& engine) {
+    Slot& slot = slots[s];
+    const std::uint64_t app = bit_of(i);
+    if ((slot.tested & app) == 0) {
+      if (engine.feasible_mask(slot.mask | app)) slot.accepts |= app;
+      slot.tested |= app;
+    }
+    return (slot.accepts & app) != 0;
   }
-  void pop(std::size_t slot, const std::vector<double>& utils) {
-    masks[slot] &= ~bit_of(blocks[slot].back());
-    blocks[slot].pop_back();
-    // Recompute the in-order sum instead of subtracting: (L + u) - u can
-    // drift ulps away from L, and the loads feed the >= 1.0 feasibility
-    // screen and the lower bounds, which must see exactly the sum the
-    // feasibility engine computes.
-    double load = 0.0;
-    for (const std::size_t member : blocks[slot]) load += utils[member];
-    loads[slot] = load;
+
+  /// Append `app` to slot s; returns the slot as it was, for pop().
+  /// Appending keeps the load the exact in-order sum, and pop() restores
+  /// the saved load instead of subtracting — (L + u) - u can drift ulps
+  /// away from L, and the loads feed the >= 1.0 feasibility screen and
+  /// the lower bounds, which must see exactly the sum the feasibility
+  /// engine computes.
+  Slot push(std::size_t s, std::size_t app, double util) {
+    const Slot saved = slots[s];
+    slots[s] = Slot{saved.mask | bit_of(app), saved.load + util, 0, 0};
+    slot_of[app] = s;
+    return saved;
   }
+  void pop(std::size_t s, const Slot& saved) { slots[s] = saved; }
   void open(std::size_t app, double util) {
-    blocks.push_back({app});
-    loads.push_back(util);
-    masks.push_back(bit_of(app));
-    slot_of[app] = blocks.size() - 1;
+    slots.push_back(Slot{bit_of(app), util, 0, 0});
+    slot_of[app] = slots.size() - 1;
   }
-  void close() {
-    blocks.pop_back();
-    loads.pop_back();
-    masks.pop_back();
-  }
+  void close() { slots.pop_back(); }
 };
 
-/// Precomputed instance facts shared (read-only) by every search pass and
-/// every parallel subtree task: utilizations, suffix tables, conflict
+/// Precomputed instance facts shared (read-only) by every deepening level
+/// and every parallel subtree task: utilizations, suffix tables, conflict
 /// masks, greedy conflict cliques per suffix, and twins.
 struct SearchFacts {
   std::size_t n = 0;
@@ -372,7 +425,7 @@ struct SearchFacts {
   /// Lower bound on the final slot count from a node where apps [0, i)
   /// form `state` and apps [i, n) are still unplaced.
   std::size_t lower_bound_at(std::size_t i, const SearchState& state) const {
-    const std::size_t used = state.blocks.size();
+    const std::size_t used = state.slots.size();
     if (i >= n) return used;  // nothing left to place
 
     // (a) Fractional packing over interference utilizations.
@@ -380,7 +433,7 @@ struct SearchFacts {
     const double remaining = suffix_util[i];
     const double u_max = suffix_max[i];
     double capacity = 0.0;  // what the existing slots can still absorb
-    for (const double load : state.loads) capacity += std::max(0.0, 1.0 + u_max - load);
+    for (const auto& slot : state.slots) capacity += std::max(0.0, 1.0 + u_max - slot.load);
     if (remaining > capacity) {
       const double deficit = remaining - capacity;
       const auto& top = suffix_top[i];
@@ -399,8 +452,8 @@ struct SearchFacts {
       const auto v = static_cast<std::size_t>(__builtin_ctzll(clique));
       clique &= clique - 1;
       bool fits_existing = false;
-      for (const std::uint64_t mask : state.masks)
-        if ((conflict[v] & mask) == 0) {
+      for (const auto& slot : state.slots)
+        if ((conflict[v] & slot.mask) == 0) {
           fits_existing = true;
           break;
         }
@@ -466,113 +519,96 @@ struct SearchFacts {
   }
 };
 
-/// Phase 1: prove the optimal slot count.  Explores existing slots
-/// best-first (descending interference load, ties by index) so tight
-/// packings — and therefore tight upper bounds — are found early; prunes
-/// with the lower-bound table, the conflict/symmetry screens and
-/// last-application dominance.  Only the count is tracked — through a
-/// monotone SharedIncumbent, so top-level subtrees can run concurrently
-/// (the proven minimum is schedule-independent); the witness partition is
-/// reconstructed by phase 2.
-class CountProver {
+/// The bounded canonical search: the first partition into at most
+/// `max_slots` slots in canonical depth-first order below one node, or
+/// none.  The witness of a level is the canonical-first partition of
+/// that level because every screen keeps it (it satisfies the symmetry
+/// rule by the exchange argument above).
+class BoundedSearch {
  public:
-  CountProver(SlotFeasibility& engine, const SearchFacts& facts,
-              runtime::SharedIncumbent& incumbent,
-              const std::atomic<bool>* cancel = nullptr)
-      : engine_(engine), facts_(facts), incumbent_(incumbent), n_(facts.n),
-        cancel_(cancel) {}
+  /// `winner` / `task`: a parallel subtree task stops once a
+  /// lower-index task has found a partition (winner < task).
+  BoundedSearch(SlotFeasibility& engine, const SearchFacts& facts, std::size_t max_slots,
+                const std::atomic<bool>* cancel,
+                const runtime::SharedIncumbent* winner = nullptr, std::size_t task = 0)
+      : engine_(engine), facts_(facts), bound_(max_slots + 1), cancel_(cancel),
+        winner_(winner), task_(task), state_(facts.n) {}
 
-  /// Prove from the root (sequential path).
-  void prove() {
-    SearchState state(n_);
-    dfs(state, 0);
+  /// Search below `node` (apps [next_app, n) unplaced); true when it
+  /// holds a partition, which witness() then returns.
+  bool run(SearchState node, std::size_t next_app) {
+    state_ = std::move(node);
+    dfs(next_app);
+    return found_;
   }
 
-  /// Prove one frontier subtree (parallel task; `state` is this task's
-  /// private copy of the node).
-  void prove_from(SearchState state, std::size_t next_app) { dfs(state, next_app); }
+  /// The partition found: each slot's members in priority order.
+  std::vector<std::vector<std::size_t>> witness() const {
+    std::vector<std::vector<std::size_t>> slots;
+    for (const auto& slot : state_.slots) {
+      auto& members = slots.emplace_back();
+      for (std::uint64_t rest = slot.mask; rest != 0; rest &= rest - 1)
+        members.push_back(static_cast<std::size_t>(__builtin_ctzll(rest)));
+    }
+    return slots;
+  }
 
-  /// Nodes this prover expanded (diagnostics only).
-  std::size_t visited() const { return visited_; }
+  /// Nodes expanded so far.
+  std::uint64_t nodes() const { return nodes_; }
 
  private:
-  /// True when some existing slot accepts app i (cheap screens first).
-  bool fits_somewhere(const SearchState& state, std::size_t i) {
-    for (std::size_t s = 0; s < state.blocks.size(); ++s) {
-      if (state.loads[s] >= 1.0) continue;
-      if ((facts_.conflict[i] & state.masks[s]) != 0) continue;
-      candidate_ = state.blocks[s];
-      candidate_.push_back(i);
-      if (engine_.feasible(candidate_)) return true;
-    }
-    return false;
-  }
-
-  void dfs(SearchState& state, std::size_t i) {
-    ++visited_;
+  void dfs(std::size_t i) {
     // Cooperative cancellation: a relaxed flag poll every 32 nodes keeps
     // the check off the profile while bounding the latency between a
     // deadline expiring and the search abandoning (node cost times 32).
-    if (cancel_ != nullptr && (visited_ & 31u) == 0 &&
-        cancel_->load(std::memory_order_relaxed))
-      throw CancelledError("optimal_allocate: bound proving cancelled");
-    if (state.blocks.size() >= incumbent_.load()) return;
-    if (facts_.lower_bound_at(i, state) >= incumbent_.load()) return;
-    if (i == n_) {
-      incumbent_.improve(state.blocks.size());
+    if ((++nodes_ & 31u) == 0) {
+      if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed))
+        throw CancelledError("optimal_allocate: exact search cancelled");
+      if (winner_ != nullptr && winner_->load() < task_) done_ = true;
+    }
+    if (done_) return;
+    if (state_.slots.size() >= bound_ || facts_.lower_bound_at(i, state_) >= bound_) return;
+    if (i == facts_.n) {
+      found_ = done_ = true;
       return;
     }
-
-    // Last-application dominance: placing the final app into any feasible
-    // existing slot yields count = |blocks| and dominates opening a new
-    // slot (count + 1); no branching needed at the last level.  (The
-    // symmetry rule is deliberately NOT applied here: the dominance
-    // argument only needs SOME feasible completion of that count to
-    // exist, and feasibility does not care about canonical form.)
-    if (i + 1 == n_) {
-      if (fits_somewhere(state, i))
-        incumbent_.improve(state.blocks.size());
-      else
-        incumbent_.improve(state.blocks.size() + 1);
-      return;
-    }
-
-    std::vector<std::size_t> order(state.blocks.size());
-    for (std::size_t s = 0; s < order.size(); ++s) order[s] = s;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      if (state.loads[a] != state.loads[b]) return state.loads[a] > state.loads[b];
-      return a < b;
-    });
 
     const double util = facts_.utils[i];
     const std::uint64_t conflicts = facts_.conflict[i];
-    const std::size_t s_min =
-        facts_.twin[i] == kNoTwin ? 0 : state.slot_of[facts_.twin[i]];
-    for (const std::size_t s : order) {
-      if (s < s_min) continue;              // symmetry: never below the twin
-      if (state.loads[s] >= 1.0) continue;  // the newcomer's m would be >= 1
-      if ((conflicts & state.masks[s]) != 0) continue;  // conflicting member
-      candidate_ = state.blocks[s];
-      candidate_.push_back(i);
-      if (!engine_.feasible(candidate_)) continue;
-      state.push(s, i, util);
-      dfs(state, i + 1);
-      state.pop(s, facts_.utils);
+    // Symmetry: never below the twin's slot.
+    const std::size_t s_min = facts_.twin[i] == kNoTwin ? 0 : state_.slot_of[facts_.twin[i]];
+    for (std::size_t s = s_min; s < state_.slots.size(); ++s) {
+      if (state_.slots[s].load >= 1.0) continue;  // the newcomer's m would be >= 1
+      if ((conflicts & state_.slots[s].mask) != 0) continue;  // conflicting member
+      if (!state_.accepts_app(s, i, engine_)) continue;
+      const SearchState::Slot saved = state_.push(s, i, util);
+      dfs(i + 1);
+      if (done_) return;  // keep the witness in state_
+      state_.pop(s, saved);
+      // Last-application dominance, canonical form: the first feasible
+      // existing slot for the final app IS the canonical-first completion
+      // from this node; if it met the bound we are done, and if not, no
+      // other placement of the final app can (all give the same count).
+      if (i + 1 == facts_.n) return;
     }
-    if (state.blocks.size() + 1 < incumbent_.load()) {
-      state.open(i, util);
-      dfs(state, i + 1);
-      state.close();
+    if (state_.slots.size() + 1 < bound_) {
+      state_.open(i, util);
+      dfs(i + 1);
+      if (done_) return;
+      state_.close();
     }
   }
 
   SlotFeasibility& engine_;
   const SearchFacts& facts_;
-  runtime::SharedIncumbent& incumbent_;
-  std::size_t n_;
-  std::size_t visited_ = 0;
-  const std::atomic<bool>* cancel_ = nullptr;
-  std::vector<std::size_t> candidate_;
+  std::size_t bound_;  ///< slot counts >= bound_ are pruned
+  const std::atomic<bool>* cancel_;
+  const runtime::SharedIncumbent* winner_;
+  std::size_t task_;
+  SearchState state_;
+  std::uint64_t nodes_ = 0;
+  bool found_ = false;
+  bool done_ = false;
 };
 
 /// A node of the canonical search tree, emitted by expand_frontier for a
@@ -582,19 +618,19 @@ struct FrontierNode {
   std::size_t next_app = 0;
 };
 
-/// Expand the canonical search tree level-synchronously (every node on
-/// one level is replaced by its non-pruned children, in canonical order:
-/// existing slots by index, then a new slot) until at least `target`
-/// nodes exist, the tree is exhausted, or the next level would reach the
-/// last application.  The task list is independent of the worker count,
-/// and pruning uses the same sound screens as the searches, so the set of
-/// optimal completions is preserved.
+/// Expand the canonical search tree bounded at `max_slots`
+/// level-synchronously (every node on one level is replaced by its
+/// non-pruned children, in canonical order: existing slots by index, then
+/// a new slot) until at least `target` nodes exist, the tree is
+/// exhausted, or the next level would reach the last application.  The
+/// list is in canonical order and independent of the worker count, and
+/// its pruning is the search's own, so the canonical-first partition of
+/// the level lies in the lowest-index subtree that holds any.
 std::vector<FrontierNode> expand_frontier(SlotFeasibility& engine, const SearchFacts& facts,
-                                          const runtime::SharedIncumbent& incumbent,
-                                          std::size_t target) {
+                                          std::size_t max_slots, std::size_t target) {
+  const std::size_t bound = max_slots + 1;
   std::vector<FrontierNode> frontier;
   frontier.push_back(FrontierNode{SearchState(facts.n), 0});
-  std::vector<std::size_t> candidate;
   while (!frontier.empty() && frontier.size() < target &&
          frontier.front().next_app + 2 < facts.n) {
     std::vector<FrontierNode> next;
@@ -602,23 +638,18 @@ std::vector<FrontierNode> expand_frontier(SlotFeasibility& engine, const SearchF
     for (auto& node : frontier) {
       const std::size_t i = node.next_app;
       SearchState& state = node.state;
-      if (state.blocks.size() >= incumbent.load()) continue;
-      if (facts.lower_bound_at(i, state) >= incumbent.load()) continue;
+      if (state.slots.size() >= bound || facts.lower_bound_at(i, state) >= bound) continue;
       const double util = facts.utils[i];
       const std::uint64_t conflicts = facts.conflict[i];
-      const std::size_t s_min =
-          facts.twin[i] == kNoTwin ? 0 : state.slot_of[facts.twin[i]];
-      for (std::size_t s = 0; s < state.blocks.size(); ++s) {
-        if (s < s_min || state.loads[s] >= 1.0 || (conflicts & state.masks[s]) != 0)
-          continue;
-        candidate = state.blocks[s];
-        candidate.push_back(i);
-        if (!engine.feasible(candidate)) continue;
+      const std::size_t s_min = facts.twin[i] == kNoTwin ? 0 : state.slot_of[facts.twin[i]];
+      for (std::size_t s = s_min; s < state.slots.size(); ++s) {
+        if (state.slots[s].load >= 1.0 || (conflicts & state.slots[s].mask) != 0) continue;
+        if (!state.accepts_app(s, i, engine)) continue;
         SearchState child = state;
         child.push(s, i, util);
         next.push_back(FrontierNode{std::move(child), i + 1});
       }
-      if (state.blocks.size() + 1 < incumbent.load()) {
+      if (state.slots.size() + 1 < bound) {
         SearchState child = std::move(state);
         child.open(i, util);
         next.push_back(FrontierNode{std::move(child), i + 1});
@@ -629,120 +660,59 @@ std::vector<FrontierNode> expand_frontier(SlotFeasibility& engine, const SearchF
   return frontier;
 }
 
-/// How many frontier subtree tasks the parallel prove aims for.  Fixed
-/// (not derived from the job count) so the decomposition — and therefore
-/// the strong-scaling profile — is identical for every `exact_jobs`.
+/// How many frontier subtree tasks a parallel level aims for.  Fixed (not
+/// derived from the job count) so the decomposition is identical for
+/// every `exact_jobs`.
 constexpr std::size_t kFrontierTarget = 128;
 
-/// Below this size the sequential prove always wins; skip the fan-out.
-constexpr std::size_t kMinAppsForParallelProve = 10;
+/// Below this size the sequential search always wins; skip the fan-out.
+constexpr std::size_t kMinAppsForParallelSearch = 10;
 
-/// Prove the optimal slot count: sequentially, or across frontier
-/// subtrees on a ParallelSearch.  The result is the same either way — a
-/// sound branch-and-bound's proven minimum does not depend on the order
-/// in which incumbent improvements arrive.
-std::size_t prove_optimal_count(const std::vector<AppSchedParams>& apps,
-                                SlotFeasibility& engine, const SearchFacts& facts,
-                                std::size_t upper_bound, int jobs,
-                                const std::atomic<bool>* cancel) {
-  runtime::SharedIncumbent incumbent(upper_bound);
-  if (jobs <= 1 || facts.n < kMinAppsForParallelProve) {
-    CountProver prover(engine, facts, incumbent, cancel);
-    prover.prove();
-    return incumbent.load();
+/// One level of the deepening: the canonical-first partition into at most
+/// `max_slots` slots, or nullopt when none exists.  With exact_jobs > 1
+/// the level fans out over the frontier subtrees; the answer is the
+/// witness of the lowest-index subtree that holds one, which is the
+/// sequential search's witness.
+std::optional<std::vector<std::vector<std::size_t>>> search_level(
+    const std::vector<AppSchedParams>& apps, SlotFeasibility& engine,
+    const SearchFacts& facts, std::size_t max_slots, const AllocationOptions& options,
+    std::uint64_t& nodes) {
+  if (options.exact_jobs <= 1 || facts.n < kMinAppsForParallelSearch) {
+    BoundedSearch search(engine, facts, max_slots, options.cancel);
+    const bool found = search.run(SearchState(facts.n), 0);
+    nodes += search.nodes();
+    if (!found) return std::nullopt;
+    return search.witness();
   }
-  const auto frontier = expand_frontier(engine, facts, incumbent, kFrontierTarget);
-  runtime::ParallelSearch search({jobs});
-  search.map(frontier.size(), [&](std::size_t t) {
-    // Per-task feasibility engine: the facts are identical (same inputs,
-    // same construction), only the memo is task-private.  A task that
-    // observes the cancel flag throws CancelledError, which map()
-    // rethrows after cancelling the pending subtree tasks — the reused
-    // interrupt machinery of the parallel search.
+
+  struct TaskResult {
+    std::uint64_t nodes = 0;
+    std::optional<std::vector<std::vector<std::size_t>>> witness;
+  };
+  const auto frontier = expand_frontier(engine, facts, max_slots, kFrontierTarget);
+  // The lowest task index that found a partition so far (frontier.size()
+  // while none has); tasks above it stop.  A task that observes the
+  // cancel flag throws CancelledError, which map() rethrows after
+  // cancelling the pending tasks.
+  runtime::SharedIncumbent winner(frontier.size());
+  runtime::ParallelSearch pool({options.exact_jobs});
+  const auto results = pool.map(frontier.size(), [&](std::size_t t) {
+    TaskResult result;
+    if (winner.load() < t) return result;
+    // Task-private memo; the facts are identical (same inputs).
     SlotFeasibility task_engine(apps, facts.method);
-    CountProver prover(task_engine, facts, incumbent, cancel);
-    prover.prove_from(frontier[t].state, frontier[t].next_app);
-    return prover.visited();
+    BoundedSearch search(task_engine, facts, max_slots, options.cancel, &winner, t);
+    if (search.run(frontier[t].state, frontier[t].next_app)) {
+      winner.improve(t);
+      result.witness = search.witness();
+    }
+    result.nodes = search.nodes();
+    return result;
   });
-  return incumbent.load();
+  for (const auto& result : results) nodes += result.nodes;
+  if (winner.load() == frontier.size()) return std::nullopt;
+  return results[winner.load()].witness;
 }
-
-/// Phase 2: reconstruct the exact partition the pre-optimization search
-/// returns — the first complete assignment with the optimal count in
-/// canonical depth-first order (existing slots by index, then a new slot).
-/// The same sound pruning applies, so only subtrees that provably hold no
-/// optimal assignment are skipped; the canonical-first witness survives
-/// every screen (it satisfies the symmetry rule by the exchange argument
-/// above).  Always sequential: this is the canonical tie-breaking that
-/// makes the returned Allocation independent of exact_jobs.
-class WitnessSearch {
- public:
-  WitnessSearch(SlotFeasibility& engine, const SearchFacts& facts,
-                const std::atomic<bool>* cancel = nullptr)
-      : engine_(engine), facts_(facts), n_(facts.n), cancel_(cancel) {}
-
-  std::vector<std::vector<std::size_t>> find(std::size_t optimal_count) {
-    bound_ = optimal_count + 1;
-    found_ = false;
-    SearchState state(n_);
-    dfs(state, 0);
-    CPS_ENSURE(found_, "optimal_allocate: proven count has no witness (internal error)");
-    return result_;
-  }
-
- private:
-  void dfs(SearchState& state, std::size_t i) {
-    if (found_) return;
-    ++visited_;
-    if (cancel_ != nullptr && (visited_ & 31u) == 0 &&
-        cancel_->load(std::memory_order_relaxed))
-      throw CancelledError("optimal_allocate: witness reconstruction cancelled");
-    if (state.blocks.size() >= bound_) return;
-    if (facts_.lower_bound_at(i, state) >= bound_) return;
-    if (i == n_) {
-      result_ = state.blocks;
-      found_ = true;
-      return;
-    }
-
-    const double util = facts_.utils[i];
-    const std::uint64_t conflicts = facts_.conflict[i];
-    const std::size_t s_min =
-        facts_.twin[i] == kNoTwin ? 0 : state.slot_of[facts_.twin[i]];
-    for (std::size_t s = 0; s < state.blocks.size() && !found_; ++s) {
-      if (s < s_min) continue;
-      if (state.loads[s] >= 1.0) continue;
-      if ((conflicts & state.masks[s]) != 0) continue;
-      candidate_ = state.blocks[s];
-      candidate_.push_back(i);
-      if (!engine_.feasible(candidate_)) continue;
-      state.push(s, i, util);
-      dfs(state, i + 1);
-      state.pop(s, facts_.utils);
-      // Last-application dominance, canonical form: the first feasible
-      // existing slot for the final app IS the canonical-first completion
-      // from this node; if it met the bound we are done, and if not, no
-      // other placement of the final app can (all give the same count).
-      if (i + 1 == n_) return;
-    }
-    if (found_) return;
-    if (state.blocks.size() + 1 < bound_) {
-      state.open(i, util);
-      dfs(state, i + 1);
-      state.close();
-    }
-  }
-
-  SlotFeasibility& engine_;
-  const SearchFacts& facts_;
-  std::size_t n_;
-  std::size_t bound_ = 0;
-  std::size_t visited_ = 0;
-  bool found_ = false;
-  const std::atomic<bool>* cancel_ = nullptr;
-  std::vector<std::vector<std::size_t>> result_;
-  std::vector<std::size_t> candidate_;
-};
 
 }  // namespace
 
@@ -816,99 +786,28 @@ Allocation optimal_allocate(std::vector<AppSchedParams> apps, const AllocationOp
   const auto seed = first_fit_indices(engine, apps, 0);
 
   const SearchFacts facts(engine, options.method, apps.size());
+  // Iterative deepening from the root lower bound: every level below the
+  // optimum is refuted, and the first level that holds a partition
+  // returns its canonical-first witness.  When no level below the seed
+  // does, the seed is optimal and is returned as is.
   std::vector<std::vector<std::size_t>> best = seed;
-  // Anytime warm start: an achievable count from the caller tightens the
-  // initial incumbent below the first-fit seed.  The proven minimum is
-  // incumbent-independent, so the result matches a cold run exactly.
-  std::size_t upper = seed.size();
-  if (options.warm_incumbent != 0 && options.warm_incumbent < upper)
-    upper = options.warm_incumbent;
-  std::size_t optimal_count = upper;
-  if (upper > facts.total_lb)
-    optimal_count = prove_optimal_count(apps, engine, facts, upper, options.exact_jobs,
-                                        options.cancel);
-  if (optimal_count < seed.size())
-    best = WitnessSearch(engine, facts, options.cancel).find(optimal_count);
+  ExactSearchStats stats;
+  stats.first_fit_slots = seed.size();
+  stats.root_lower_bound = facts.total_lb;
+  for (std::size_t k = facts.total_lb; k < seed.size(); ++k) {
+    ++stats.levels;
+    auto witness = search_level(apps, engine, facts, k, options, stats.nodes);
+    if (witness) {
+      best = std::move(*witness);
+      break;
+    }
+  }
+  if (options.stats != nullptr) *options.stats = stats;
 
   if (options.max_slots != 0 && best.size() > options.max_slots)
     throw InfeasibleError("optimal allocation still exceeds the available " +
                           std::to_string(options.max_slots) + " TT slots");
   return finalize(materialize(best, apps), options);
-}
-
-double ExactSearchProfile::critical_path_seconds(int jobs) const {
-  return setup_seconds + runtime::ParallelSearch::list_schedule_makespan(task_seconds, jobs) +
-         witness_seconds;
-}
-
-ExactSearchProfile profile_exact_search(std::vector<AppSchedParams> apps,
-                                        const AllocationOptions& options,
-                                        std::size_t max_apps_for_exact) {
-  CPS_ENSURE(!apps.empty(), "profile_exact_search: need at least one application");
-  CPS_ENSURE(apps.size() <= max_apps_for_exact,
-             "profile_exact_search: exact search limited to max_apps_for_exact applications");
-  CPS_ENSURE(apps.size() <= 64,
-             "profile_exact_search: exact search limited to 64 applications (bitmask state)");
-  using Clock = std::chrono::steady_clock;
-  const auto since = [](Clock::time_point start) {
-    return std::chrono::duration<double>(Clock::now() - start).count();
-  };
-
-  sort_by_priority(apps);
-  ExactSearchProfile profile;
-  profile.n = apps.size();
-
-  const auto setup_start = Clock::now();
-  SlotFeasibility engine(apps, options.method);
-  for (std::size_t i = 0; i < apps.size(); ++i) require_alone_feasible(engine, apps[i], i);
-  const auto seed = first_fit_indices(engine, apps, 0);
-  const SearchFacts facts(engine, options.method, apps.size());
-  profile.seed_slots = seed.size();
-  profile.root_lower_bound = facts.total_lb;
-  const bool search_needed = seed.size() > facts.total_lb;
-  std::vector<FrontierNode> frontier;
-  if (search_needed) {
-    const runtime::SharedIncumbent expansion_bound(seed.size());
-    frontier = expand_frontier(engine, facts, expansion_bound, kFrontierTarget);
-  }
-  profile.setup_seconds = since(setup_start);
-
-  profile.optimal_slots = seed.size();
-  if (search_needed) {
-    // The real sequential prove, timed (the j=1 baseline).
-    const auto prove_start = Clock::now();
-    runtime::SharedIncumbent incumbent(seed.size());
-    CountProver prover(engine, facts, incumbent);
-    prover.prove();
-    profile.sequential_seconds = since(prove_start);
-    profile.optimal_slots = incumbent.load();
-
-    // The parallel decomposition, run one subtree at a time with per-task
-    // timing (ParallelSearch::map_timed): incumbent improvements apply in
-    // canonical completion order, so the durations are reproducible.
-    runtime::SharedIncumbent task_incumbent(seed.size());
-    runtime::ParallelSearch sequential_runner({1});
-    sequential_runner.map_timed(
-        frontier.size(),
-        [&](std::size_t t) {
-          SlotFeasibility task_engine(apps, options.method);
-          CountProver task_prover(task_engine, facts, task_incumbent);
-          task_prover.prove_from(frontier[t].state, frontier[t].next_app);
-          return task_prover.visited();
-        },
-        profile.task_seconds);
-    CPS_ENSURE(task_incumbent.load() == profile.optimal_slots,
-               "profile_exact_search: decomposition disagrees with the sequential prove");
-  }
-
-  if (profile.optimal_slots < seed.size()) {
-    const auto witness_start = Clock::now();
-    const auto witness = WitnessSearch(engine, facts).find(profile.optimal_slots);
-    CPS_ENSURE(witness.size() == profile.optimal_slots,
-               "profile_exact_search: witness size mismatch");
-    profile.witness_seconds = since(witness_start);
-  }
-  return profile;
 }
 
 Allocation optimal_allocate_reference(std::vector<AppSchedParams> apps,

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "analysis/schedulability.hpp"
@@ -27,6 +28,17 @@ struct Allocation {
   std::size_t slot_count() const { return slots.size(); }
 };
 
+/// How hard one optimal_allocate search was.
+struct ExactSearchStats {
+  std::size_t first_fit_slots = 0;   ///< the first-fit seed, the search's upper bound
+  std::size_t root_lower_bound = 0;  ///< utilization/packing/clique bound at the root
+  std::size_t levels = 0;            ///< deepening levels searched (0: the seed met the bound)
+  /// Search nodes expanded over all levels and subtree tasks.  Exact at
+  /// exact_jobs <= 1; with more workers it depends on when higher-index
+  /// subtree tasks observe a lower-index witness and stop.
+  std::uint64_t nodes = 0;
+};
+
 /// Knobs shared by the three allocators.
 struct AllocationOptions {
   /// How the per-application maximum wait time is computed.
@@ -34,40 +46,27 @@ struct AllocationOptions {
   /// Upper bound on slots (the paper's m); throws InfeasibleError when
   /// exceeded.  0 = unlimited.
   std::size_t max_slots = 0;
-  /// Worker threads for optimal_allocate's bound-proving search (ignored
-  /// by the heuristics).  <= 1 proves sequentially; > 1 fans the
-  /// top-level branch-and-bound subtrees across a
-  /// runtime::ParallelSearch with a shared atomic incumbent.  The
-  /// returned Allocation is IDENTICAL for every value (the proven count
-  /// is a schedule-independent minimum and the witness partition is
-  /// reconstructed by a canonical sequential pass).
+  /// Worker threads for optimal_allocate's exact search (ignored by the
+  /// heuristics).  <= 1 searches sequentially; > 1 fans each deepening
+  /// level's canonical frontier subtrees across a runtime::ParallelSearch
+  /// and keeps the witness of the lowest-index subtree that holds one.
+  /// The returned Allocation is IDENTICAL for every value: that witness is
+  /// the canonical-first partition the sequential search returns.
   int exact_jobs = 1;
-  /// Anytime warm start for optimal_allocate: a slot count known to be
-  /// ACHIEVABLE for this instance (some feasible partition of that many
-  /// slots exists — typically the previous allocation's count after the
-  /// online layer has re-verified it against the patched analysis).  The
-  /// bound-proving pass starts from min(first-fit seed, warm_incumbent)
-  /// instead of the seed alone, so the search only ever tightens an
-  /// already-good bound; when the warm bound already meets the root lower
-  /// bound the prove is skipped outright.  Because a sound B&B's proven
-  /// minimum does not depend on its starting incumbent, the returned
-  /// Allocation is bit-identical to a cold run — a warm start changes
-  /// time, never answers.  Passing a count that is NOT achievable is a
-  /// contract violation (the witness reconstruction would fail loudly).
-  /// 0 = cold start.
-  std::size_t warm_incumbent = 0;
   /// Cooperative cancellation for optimal_allocate's exact search: when
-  /// non-null, the bound-proving and witness passes poll the flag every
-  /// few dozen expanded nodes and throw cps::CancelledError once it
-  /// reads true (the cps_serve daemon sets it when a per-request
-  /// deadline expires, so a pathological exact query returns
-  /// deadline_exceeded instead of starving the worker pool).  Under
-  /// exact_jobs > 1 the throw propagates through
-  /// runtime::ParallelSearch::map, which cancels the pending subtree
-  /// tasks.  A search that completes without observing the flag is
-  /// unaffected — cancellation changes time, never answers.  Ignored by
-  /// the heuristics (they are allocation-free fast paths).
+  /// non-null, the search polls the flag every few dozen expanded nodes
+  /// and throws cps::CancelledError once it reads true (the cps_serve
+  /// daemon sets it when a per-request deadline expires, so a
+  /// pathological exact query returns deadline_exceeded instead of
+  /// starving the worker pool).  Under exact_jobs > 1 the throw
+  /// propagates through runtime::ParallelSearch::map, which cancels the
+  /// pending subtree tasks.  A search that completes without observing
+  /// the flag is unaffected — cancellation changes time, never answers.
+  /// Ignored by the heuristics (they are allocation-free fast paths).
   const std::atomic<bool>* cancel = nullptr;
+  /// When non-null, optimal_allocate writes what its search did here
+  /// (ignored by the heuristics).
+  ExactSearchStats* stats = nullptr;
 };
 
 /// First-fit allocation (the paper's heuristic).  Applications may be
@@ -87,24 +86,25 @@ Allocation best_fit_allocate(std::vector<AppSchedParams> apps,
 /// (the problem the paper calls NP-hard).  Throws InvalidArgument for more
 /// than `max_apps_for_exact` applications.
 ///
-/// The search is the optimized two-phase kernel:
-///  1. a bound-proving pass establishes the optimal slot count —
-///     sequentially best-first (slots ordered by descending interference
-///     load), or, with options.exact_jobs > 1, fanned across top-level
-///     subtrees on a runtime::ParallelSearch with a shared atomic
-///     incumbent.  Either way it is pruned by (a) a precomputed
-///     utilization / fractional-packing lower-bound table, (b) a greedy
-///     max-clique bound over the precomputed conflict-pair graph (pairs
-///     that provably can never share a slot), (c) canonical symmetry
-///     breaking over interchangeable applications (an application whose
-///     adjacent priority predecessor is identical never goes into a
-///     lower-indexed slot than that twin), and (d) last-application
-///     dominance — all on top of a memoized allocation-free
-///     slot-feasibility engine;
-///  2. when the proven optimum improves on the first-fit seed, a canonical
-///     depth-first pass reconstructs the exact partition the
-///     pre-optimization search would have returned.
-/// The result is therefore bit-identical to optimal_allocate_reference for
+/// One canonical depth-first search, run by iterative deepening: bounded
+/// at k slots it returns the first partition into <= k slots in canonical
+/// order (applications in index order, each trying the existing slots by
+/// index, then a new slot) or proves none exists.  Run at k = root lower
+/// bound, k + 1, ... below the first-fit count, the first level that
+/// finds a partition is the optimum and that partition is the
+/// canonical-first optimal witness; when none does, the first-fit seed is
+/// optimal and is returned.  Every level is pruned by (a) a precomputed
+/// utilization / fractional-packing lower-bound table, (b) a greedy
+/// max-clique bound over the precomputed conflict-pair graph (pairs that
+/// provably can never share a slot), (c) canonical symmetry breaking over
+/// interchangeable applications (an application whose adjacent priority
+/// predecessor is identical never goes into a lower-indexed slot than
+/// that twin), and (d) last-application dominance — all on top of a
+/// slot-feasibility engine memoized by membership mask.  With
+/// options.exact_jobs > 1 each level fans out over canonical frontier
+/// subtrees (see AllocationOptions::exact_jobs).
+///
+/// The result is bit-identical to optimal_allocate_reference for
 /// every input on which the slot analysis completes (asserted by
 /// tests/analysis_golden_test.cpp) and identical at every exact_jobs
 /// value (tests/analysis_parallel_alloc_test.cpp).  One carve-out: under
@@ -113,39 +113,10 @@ Allocation best_fit_allocate(std::vector<AppSchedParams> apps,
 /// raise NumericalError at whichever candidate slot set a search tests
 /// first, and the searches test different sets — so *which* call throws
 /// may differ there.  The exact search additionally requires <= 64
-/// applications (bitmask memo state).
+/// applications (bitmask state).
 Allocation optimal_allocate(std::vector<AppSchedParams> apps,
                             const AllocationOptions& options = {},
                             std::size_t max_apps_for_exact = 20);
-
-/// Strong-scaling profile of one exact search, for the alloc_parallel
-/// bench and the sweep_alloc_parallel experiment: times the sequential
-/// bound-proving pass, then re-proves through the parallel decomposition
-/// run one task at a time (runtime::ParallelSearch::map_timed), recording
-/// per-task wall times in canonical order.  critical_path_seconds(j) is
-/// the wall-clock the decomposition reaches on j dedicated cores under
-/// greedy list scheduling — the core-count-independent emulation also
-/// used by bench/campaign_scaling.cpp for process shards.
-struct ExactSearchProfile {
-  std::size_t n = 0;                 ///< applications in the instance
-  std::size_t optimal_slots = 0;     ///< proven optimum
-  std::size_t seed_slots = 0;        ///< first-fit upper bound
-  std::size_t root_lower_bound = 0;  ///< root lower bound (util/packing/clique max)
-  double sequential_seconds = 0.0;   ///< jobs=1 bound-proving wall time
-  double setup_seconds = 0.0;        ///< facts + seed + frontier expansion
-  double witness_seconds = 0.0;      ///< canonical witness reconstruction
-  std::vector<double> task_seconds;  ///< per-subtree wall, canonical order
-  /// Emulated wall-clock of the fan-out on `jobs` dedicated cores:
-  /// setup + list-schedule makespan of the subtree tasks + witness.
-  double critical_path_seconds(int jobs) const;
-};
-
-/// Profile the exact search on one instance (see ExactSearchProfile).
-/// Runs everything on the calling thread; the profiled instance must be
-/// feasible (throws InfeasibleError otherwise, like optimal_allocate).
-ExactSearchProfile profile_exact_search(std::vector<AppSchedParams> apps,
-                                        const AllocationOptions& options = {},
-                                        std::size_t max_apps_for_exact = 20);
 
 /// The pre-optimization exhaustive branch-and-bound, frozen verbatim (one
 /// full analyze_slot per visited node, no lower bounds, no memoization).

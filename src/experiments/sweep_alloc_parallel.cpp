@@ -12,18 +12,15 @@
 //     The experiment enforces this at runtime (CPS_ENSURE) and the
 //     deterministic CSV records the per-instance facts, so any
 //     schedule-dependence fails the run loudly at any job count.
-//  2. STRONG SCALING — profile_exact_search decomposes the bound-proving
-//     pass into its frontier subtree tasks, times them sequentially, and
-//     emulates the wall-clock on j dedicated cores by greedy list
-//     scheduling (the same critical-path emulation
-//     bench/campaign_scaling.cpp uses for process shards, reproducible
-//     on a single-core container).  Real threaded wall times are also
-//     recorded for comparison on multi-core hosts.
+//  2. STRONG SCALING — the threaded wall-clock of each exact_jobs leg,
+//     with the j=1 search's node count and deepening levels
+//     (AllocationOptions::stats) to say how hard the instance was.
+//     Speedups are real only on a host with that many free cores.
 //
-// sweep_alloc_parallel.csv (instance facts, proven optima, task counts)
-// is bit-identical for any --jobs.  The *_times.csv sidecar holds
-// measured wall-clocks and is explicitly exempt from the bit-identity
-// contract; the committed strong-scaling snapshot lives in
+// sweep_alloc_parallel.csv (instance facts and proven optima) is
+// bit-identical for any --jobs.  The *_times.csv sidecar holds measured
+// wall-clocks and is explicitly exempt from the bit-identity contract;
+// the committed strong-scaling snapshot lives in
 // bench/results/BENCH_alloc_parallel.json (bench/alloc_parallel.cpp).
 #include <chrono>
 #include <cstddef>
@@ -56,10 +53,10 @@ CPS_EXPERIMENT(sweep_alloc_parallel,
   const std::string csv_path = ctx.csv_path("sweep_alloc_parallel.csv");
   const std::string times_path = ctx.csv_path("sweep_alloc_parallel_times.csv");
   CsvWriter csv(csv_path, {"n_apps", "seed", "first_fit", "optimal", "root_lower_bound",
-                           "subtree_tasks", "jobs_identical"});
-  CsvWriter times_csv(times_path, {"n_apps", "jobs", "threaded_ms", "critical_path_ms"});
-  TextTable table({"n apps", "ff", "opt", "lb", "tasks", "seq [ms]", "cp j2", "cp j4",
-                   "cp j8", "j8 speedup"});
+                           "jobs_identical"});
+  CsvWriter times_csv(times_path, {"n_apps", "jobs", "threaded_ms"});
+  TextTable table({"n apps", "ff", "opt", "lb", "levels", "nodes", "j1 [ms]", "j2 [ms]",
+                   "j4 [ms]", "j8 [ms]", "j8 speedup"});
 
   // The fixed proving instances shared with bench/alloc_parallel.cpp
   // (experiments::alloc_proving_instances): feasible, first-fit seed
@@ -70,12 +67,14 @@ CPS_EXPERIMENT(sweep_alloc_parallel,
     // Determinism: the Allocation must be identical at every job count.
     // The j=1 leg IS the sequential search, so it doubles as the
     // reference the parallel legs are checked against.
+    ExactSearchStats stats;
     AllocationOptions options;
     Allocation reference;
     std::vector<double> threaded_ms;
     threaded_ms.reserve(std::size(kJobSweep));
     for (const int jobs : kJobSweep) {
       options.exact_jobs = jobs;
+      options.stats = jobs == 1 ? &stats : nullptr;
       const auto start = std::chrono::steady_clock::now();
       Allocation parallel = optimal_allocate(set, options);
       threaded_ms.push_back(
@@ -88,34 +87,23 @@ CPS_EXPERIMENT(sweep_alloc_parallel,
                    "sweep_alloc_parallel: Allocation depends on exact_jobs");
     }
 
-    // Strong scaling via the sequential critical-path decomposition.
-    const ExactSearchProfile profile = profile_exact_search(set);
-    CPS_ENSURE(profile.optimal_slots == reference.slot_count(),
-               "sweep_alloc_parallel: profile disagrees with optimal_allocate");
-
     csv.write_row(std::vector<std::string>{
         std::to_string(inst.n), std::to_string(inst.seed),
-        std::to_string(profile.seed_slots), std::to_string(profile.optimal_slots),
-        std::to_string(profile.root_lower_bound), std::to_string(profile.task_seconds.size()),
-        "1"});
+        std::to_string(stats.first_fit_slots), std::to_string(reference.slot_count()),
+        std::to_string(stats.root_lower_bound), "1"});
+    std::vector<std::string> row = {
+        std::to_string(inst.n), std::to_string(stats.first_fit_slots),
+        std::to_string(reference.slot_count()), std::to_string(stats.root_lower_bound),
+        std::to_string(stats.levels), std::to_string(stats.nodes)};
     for (std::size_t j = 0; j < std::size(kJobSweep); ++j) {
       times_csv.write_row(std::vector<std::string>{
           std::to_string(inst.n), std::to_string(kJobSweep[j]),
-          format_fixed(threaded_ms[j], 3),
-          format_fixed(profile.critical_path_seconds(kJobSweep[j]) * 1e3, 3)});
+          format_fixed(threaded_ms[j], 3)});
+      row.push_back(format_fixed(threaded_ms[j], 2));
     }
-
-    const double cp1 = profile.critical_path_seconds(1);
-    const double cp8 = profile.critical_path_seconds(8);
-    table.add_row({std::to_string(inst.n), std::to_string(profile.seed_slots),
-                   std::to_string(profile.optimal_slots),
-                   std::to_string(profile.root_lower_bound),
-                   std::to_string(profile.task_seconds.size()),
-                   format_fixed(profile.sequential_seconds * 1e3, 2),
-                   format_fixed(profile.critical_path_seconds(2) * 1e3, 2),
-                   format_fixed(profile.critical_path_seconds(4) * 1e3, 2),
-                   format_fixed(cp8 * 1e3, 2),
-                   cp8 > 0.0 ? format_fixed(cp1 / cp8, 2) + "x" : "n/a"});
+    const double j8 = threaded_ms.back();
+    row.push_back(j8 > 0.0 ? format_fixed(threaded_ms.front() / j8, 2) + "x" : "n/a");
+    table.add_row(row);
   }
 
   std::fprintf(ctx.out, "%s\n", table.render().c_str());

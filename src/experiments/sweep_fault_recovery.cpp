@@ -1,14 +1,15 @@
-// Experiment "sweep_fault_recovery" — warm-started re-allocation across
-// a fault grid (shardable, spec-driven).
+// Experiment "sweep_fault_recovery" — online repair + exact re-allocation
+// across a fault grid (shardable, spec-driven).
 //
 // For each grid point (target utilization U, fleet size n, fault kind,
 // trial) the sweep synthesizes a fleet at exactly U, allocates it
 // optimally, freezes the slot budget at that optimum (the tightest
 // resident configuration), injects ONE fault, and re-allocates through
-// the online repair + warm-start path (online/reallocation.hpp).  Each
-// point also re-proves the faulted instance COLD, so the CSV carries a
+// the online repair + exact path (online/reallocation.hpp), which
+// records the repaired partition's count as the warm bound.  Each point
+// also re-proves the faulted instance COLD, so the CSV carries a
 // per-instance differential verdict: warm_matches_cold must be 1
-// everywhere (the warm start changes proof time, never answers) — the
+// everywhere (the repair changes the report, never the answer) — the
 // online property suite asserts the same against the frozen reference
 // search, and CI byte-compares this CSV across --jobs 1 and 4.
 //
@@ -60,9 +61,9 @@ struct FaultCell {
   std::size_t initial_slots = 0;
   std::size_t budget = 0;       ///< slot budget after the fault (0 = outage)
   int repaired = 0;             ///< previous partition repaired to feasibility
-  std::size_t warm = 0;         ///< warm incumbent handed to the search
+  std::size_t warm = 0;         ///< warm bound: the repaired partition's count
   int feasible = 0;
-  std::size_t warm_slots = 0;   ///< warm-started result (0 when infeasible)
+  std::size_t warm_slots = 0;   ///< online (repair + exact) result (0 when infeasible)
   std::size_t cold_slots = 0;   ///< cold re-prove on the same instance
   int matches = 0;              ///< warm_slots == cold_slots
   std::size_t gap = 0;          ///< warm - proven optimum
@@ -159,7 +160,7 @@ CPS_SWEEP_EXPERIMENT(sweep_fault_recovery,
     if (fault == "drop_slot") {
       // The resident system had one spare slot; losing it lands the
       // budget back exactly on the optimum, so the repaired previous
-      // partition is precisely the warm incumbent the search needs.
+      // partition is already optimal (a zero-gap warm bound).
       cell.budget = cell.initial_slots;
     } else if (fault == "drop_frames") {
       online::apply_drop_frames(fleet[target], 1.4);

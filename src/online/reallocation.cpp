@@ -114,7 +114,8 @@ ReallocationResult reallocate(const std::vector<AppSchedParams>& apps,
   }
 
   // Phase 1: repair.  A repaired partition that fits the budget is an
-  // achievable slot count — the warm_incumbent contract.
+  // achievable slot count: the warm bound the report compares the
+  // exact optimum against.
   const auto repaired = repair_partition(apps, previous, policy.method);
   const bool repair_ok =
       repaired.has_value() && (slot_budget == 0 || repaired->size() <= slot_budget);
@@ -129,8 +130,7 @@ ReallocationResult reallocate(const std::vector<AppSchedParams>& apps,
   const auto start = Clock::now();
   try {
     if (apps.size() <= policy.exact_max_apps) {
-      options.warm_incumbent = repair_ok ? repaired->size() : 0;
-      result.report.warm_incumbent = options.warm_incumbent;
+      result.report.warm_incumbent = repair_ok ? repaired->size() : 0;
       result.report.exact = true;
       result.allocation = analysis::optimal_allocate(apps, options);
     } else {

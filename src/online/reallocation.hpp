@@ -1,20 +1,19 @@
-// Incremental re-allocation after a fault: repair, then warm-started
-// exact search.
+// Incremental re-allocation after a fault: repair, then exact search.
 //
 // When a fault changes the fleet (a tent drifts, a deadline shrinks, a
-// slot disappears, an app joins or leaves), the online world does NOT
-// restart the allocator from scratch.  It first REPAIRS the previous
-// partition against the patched analysis — departed apps drop out of
-// their slots, new apps first-fit into the survivors — and re-analyzes
-// only the touched slots.  If the repaired partition is still feasible
-// within the slot budget, its slot count is an ACHIEVABLE upper bound,
-// which is exactly what AllocationOptions::warm_incumbent requires: the
-// exact branch-and-bound then starts at the repaired count as an
-// anytime incumbent and can only tighten it.  Because a sound B&B's
-// proven minimum does not depend on its starting incumbent, the warm
-// result is bit-identical to a cold run (tests/online_reallocation_test
-// differential-checks it against optimal_allocate_reference) — the warm
-// start changes proof time, never answers.
+// slot disappears, an app joins or leaves), the online world first
+// REPAIRS the previous partition against the patched analysis —
+// departed apps drop out of their slots, new apps first-fit into the
+// survivors — and re-analyzes only the touched slots.  If the repaired
+// partition is still feasible within the slot budget, its slot count is
+// an ACHIEVABLE upper bound: the warm bound.  The exact search then
+// runs as it would cold (its iterative deepening climbs from the root
+// lower bound and must refute every level below the optimum whatever
+// upper bound it is given, so a warm bound would save it no work), and
+// the report records the warm bound and the anytime gap — how much the
+// exact optimum improves on the repair.  The result is therefore the
+// cold optimum (tests/online_reallocation_test differential-checks it
+// against optimal_allocate_reference).
 //
 // Every call records a ReallocationReport: feasibility, slots before
 // and after, the warm bound and its anytime gap, and the proof wall
@@ -35,7 +34,7 @@ namespace cps::online {
 /// Allocator knobs of the online layer.
 struct ReallocationPolicy {
   analysis::MaxWaitMethod method = analysis::MaxWaitMethod::kClosedFormBound;
-  /// Worker threads for the exact prove (AllocationOptions::exact_jobs);
+  /// Worker threads for the exact search (AllocationOptions::exact_jobs);
   /// the resulting Allocation — and therefore the event log — is
   /// identical for every value.
   int exact_jobs = 1;
@@ -53,7 +52,9 @@ struct ReallocationReport {
   bool repaired = false;         ///< previous partition repaired to feasibility
   std::size_t slots_before = 0;  ///< previous partition's slot count
   std::size_t slots_after = 0;   ///< new allocation's slot count
-  std::size_t warm_incumbent = 0;  ///< achievable bound handed to the search (0 = cold)
+  /// Warm bound: the repaired partition's slot count (0 = cold: the
+  /// repair failed or the exact search did not run).
+  std::size_t warm_incumbent = 0;
   std::size_t anytime_gap = 0;     ///< warm_incumbent - proven optimum (0 when cold)
   double proof_seconds = 0.0;      ///< allocator wall time (stdout only, never CSV)
 };
@@ -67,8 +68,9 @@ struct ReallocationResult {
 
 /// Repair `previous` (slot lists of app NAMES) against the patched
 /// `apps`, then re-allocate within `slot_budget` (0 = unlimited):
-/// exact + warm-started when the fleet is small enough and the repair
-/// succeeded, first-fit beyond policy.exact_max_apps.  When no
+/// exact when the fleet is small enough (reporting the repaired count
+/// as the warm bound when the repair succeeded), first-fit beyond
+/// policy.exact_max_apps.  When no
 /// schedulable allocation fits the budget, returns feasible = false
 /// with a deterministic degraded allocation (apps round-robined over
 /// the budget slots in priority order, analyses attached) so the world

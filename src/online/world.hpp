@@ -11,7 +11,7 @@
 //  1. every scenario event scheduled at this tick fires (fault
 //     injection: slot loss, dropped/delayed frames, parameter drift,
 //     churn), each followed by one incremental re-allocation
-//     (online/reallocation.hpp: repair, then warm-started exact B&B)
+//     (online/reallocation.hpp: repair, then exact B&B)
 //     and one ReallocationReport;
 //  2. the tick's sim-time interval is simulated: each app's disturbance
 //     arrivals (drawn from its private Rng, spaced >= its minimum

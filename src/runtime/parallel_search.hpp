@@ -19,32 +19,25 @@
 //    worker count and of scheduling order.  Only integers cross threads;
 //    no floating-point accumulation depends on the schedule.
 //
-// Determinism contract of a search built on this primitive: the proven
-// optimum is schedule-independent; anything beyond the optimum (e.g. the
-// witness partition an allocator returns) must be reconstructed by a
-// canonical sequential pass seeded with that optimum, never taken from
-// whichever worker happened to finish first.  analysis/slot_allocation.cpp
-// is the reference user (see docs/ARCHITECTURE.md, "parallel exact
-// search").
-//
-// map_timed() + list_schedule_makespan() support the strong-scaling
-// critical-path emulation used by bench/alloc_parallel.cpp: run the task
-// list sequentially, record per-task wall times, then compute the
-// makespan a greedy work-stealing schedule would reach on N dedicated
-// cores — reproducible on the single-core CI container, same idea as
-// bench/campaign_scaling.cpp's sharded critical paths.
+// Determinism contract of a search built on this primitive: what it
+// returns must not depend on the schedule.  A proven optimum is
+// schedule-independent; an answer beyond it (e.g. the witness partition
+// an allocator returns) must come from a canonical position in the task
+// list, never from whichever worker happened to finish first.  The exact
+// slot allocator (analysis/slot_allocation.cpp, see docs/ARCHITECTURE.md,
+// "parallel exact search") keeps the witness of the LOWEST-INDEX task
+// that found one, with a SharedIncumbent over task indices so that
+// higher-index tasks stop early.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <future>
 #include <vector>
 
 #include "runtime/thread_pool.hpp"
-#include "util/error.hpp"
 
 namespace cps::runtime {
 
@@ -125,41 +118,6 @@ class ParallelSearch {
       throw;
     }
     return results;
-  }
-
-  /// map() forced inline (one task at a time, index order), recording each
-  /// task's wall-clock seconds into `seconds`.  This is the measurement
-  /// half of the critical-path emulation: shared-incumbent updates are
-  /// applied in canonical completion order, so the recorded durations are
-  /// reproducible.
-  template <typename Fn>
-  auto map_timed(std::size_t count, Fn fn, std::vector<double>& seconds)
-      -> std::vector<decltype(fn(std::size_t{}))> {
-    using Result = decltype(fn(std::size_t{}));
-    std::vector<Result> results;
-    results.reserve(count);
-    seconds.clear();
-    seconds.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto start = std::chrono::steady_clock::now();
-      results.push_back(fn(i));
-      seconds.push_back(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count());
-    }
-    return results;
-  }
-
-  /// Makespan of greedily list-scheduling `task_seconds` (in order) onto
-  /// `workers` cores, each task to the earliest-free worker — the
-  /// schedule a work-stealing pool approximates on dedicated cores.
-  static double list_schedule_makespan(const std::vector<double>& task_seconds, int workers) {
-    CPS_ENSURE(workers >= 1, "list_schedule_makespan: need at least one worker");
-    std::vector<double> free_at(static_cast<std::size_t>(workers), 0.0);
-    for (const double task : task_seconds) {
-      auto slot = std::min_element(free_at.begin(), free_at.end());
-      *slot += std::max(0.0, task);
-    }
-    return *std::max_element(free_at.begin(), free_at.end());
   }
 
  private:

@@ -1,8 +1,10 @@
 // Scenario-script regression suite: replay every committed scenario in
 // examples/scenarios/ and byte-compare its event-log CSV against the
-// frozen golden in tests/golden/.  Any drift in fleet synthesis, the
-// arrival streams, the allocator, or the CSV format shows up here as a
-// byte diff — regenerate the goldens (and justify the change) with:
+// frozen golden in tests/golden/, with the exact allocator on one worker
+// and on four (the log's jobs-independence contract).  Any drift in
+// fleet synthesis, the arrival streams, the allocator, or the CSV format
+// shows up here as a byte diff — regenerate the goldens (and justify the
+// change) with:
 //
 //   build/tools/cps_run --scenario examples/scenarios/<name>.toml --csv tests/golden/
 #include <gtest/gtest.h>
@@ -52,26 +54,32 @@ TEST(ScenarioGoldenTest, EveryCommittedScenarioReplaysItsFrozenEventLog) {
     // artifact names in one-to-one correspondence.
     EXPECT_EQ(std::filesystem::path(path).stem().string(), scenario.name);
 
-    // Replay exactly as a bare `cps_run --scenario FILE` would: default
-    // context, so the scenario's own seed (or the default) applies.
-    const runtime::ExperimentContext ctx;
-    online::World world(scenario, online::effective_scenario_seed(ctx, scenario));
-    world.run();
-
-    const auto temp = (std::filesystem::temp_directory_path() /
-                       ("cps-golden-" + scenario.name + "-" + std::to_string(::getpid()) +
-                        ".csv"))
-                          .string();
-    online::write_event_log_csv(temp, world);
-    const std::string actual = read_bytes(temp);
-    std::filesystem::remove(temp);
-
     const auto golden = std::filesystem::path(CPS_REPO_DIR) / "tests" / "golden" /
                         ("scenario_" + scenario.name + "_events.csv");
     ASSERT_TRUE(std::filesystem::exists(golden))
         << "missing golden " << golden << " — generate it with cps_run --scenario";
-    EXPECT_EQ(actual, read_bytes(golden.string()))
-        << "event log drifted from the frozen golden";
+    const std::string expected = read_bytes(golden.string());
+
+    // Replay as `cps_run --scenario FILE --jobs J` would: default context,
+    // so the scenario's own seed (or the default) applies, and the
+    // allocator fanned over J workers.  The log must not depend on J.
+    for (const int jobs : {1, 4}) {
+      SCOPED_TRACE("exact_jobs " + std::to_string(jobs));
+      const runtime::ExperimentContext ctx;
+      online::ReallocationPolicy policy;
+      policy.exact_jobs = jobs;
+      online::World world(scenario, online::effective_scenario_seed(ctx, scenario), policy);
+      world.run();
+
+      const auto temp = (std::filesystem::temp_directory_path() /
+                         ("cps-golden-" + scenario.name + "-" + std::to_string(::getpid()) +
+                          "-j" + std::to_string(jobs) + ".csv"))
+                            .string();
+      online::write_event_log_csv(temp, world);
+      const std::string actual = read_bytes(temp);
+      std::filesystem::remove(temp);
+      EXPECT_EQ(actual, expected) << "event log drifted from the frozen golden";
+    }
   }
 }
 

@@ -282,35 +282,6 @@ TEST(ParallelSearchTest, MapPropagatesTaskExceptions) {
                std::runtime_error);
 }
 
-TEST(ParallelSearchTest, MapTimedRecordsOneDurationPerTask) {
-  ParallelSearch search({8});  // map_timed is inline regardless of jobs
-  std::vector<double> seconds;
-  std::vector<std::size_t> order;
-  search.map_timed(
-      5,
-      [&](std::size_t i) {
-        order.push_back(i);
-        return i;
-      },
-      seconds);
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-  ASSERT_EQ(seconds.size(), 5u);
-  for (const double s : seconds) EXPECT_GE(s, 0.0);
-}
-
-TEST(ParallelSearchTest, ListScheduleMakespanMatchesHandComputedSchedules) {
-  // Greedy earliest-free-worker schedule: {4,3,2,1} on 2 workers ->
-  // worker A: 4+1, worker B: 3+2 -> makespan 5.
-  EXPECT_DOUBLE_EQ(ParallelSearch::list_schedule_makespan({4, 3, 2, 1}, 2), 5.0);
-  // One worker: the serial sum.
-  EXPECT_DOUBLE_EQ(ParallelSearch::list_schedule_makespan({4, 3, 2, 1}, 1), 10.0);
-  // More workers than tasks: the longest task.
-  EXPECT_DOUBLE_EQ(ParallelSearch::list_schedule_makespan({4, 3, 2, 1}, 8), 4.0);
-  // Empty task list: zero.
-  EXPECT_DOUBLE_EQ(ParallelSearch::list_schedule_makespan({}, 4), 0.0);
-  EXPECT_THROW(ParallelSearch::list_schedule_makespan({1.0}, 0), InvalidArgument);
-}
-
 TEST(ExperimentRegistryTest, RegistersFindsAndRejectsDuplicates) {
   ExperimentRegistry registry;
   registry.add(Experiment("demo", "a demo experiment", [](ExperimentContext&) {}));
