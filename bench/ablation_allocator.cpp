@@ -13,6 +13,7 @@
 
 #include "analysis/slot_allocation.hpp"
 #include "experiments/fixtures.hpp"
+#include "oracles/reference.hpp"
 
 namespace {
 

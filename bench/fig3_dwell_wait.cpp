@@ -14,6 +14,7 @@
 #include <chrono>
 
 #include "experiments/fixtures.hpp"
+#include "oracles/reference.hpp"
 #include "plants/servo_motor.hpp"
 #include "sim/dwell_wait.hpp"
 #include "sim/switched_system.hpp"

@@ -62,9 +62,9 @@ void bm_fixture_cache_hit(benchmark::State& state) {
   FixtureCache& cache = FixtureCache::instance();
   const std::string key = "bench/fixture_cache_hit";
   benchmark::DoNotOptimize(
-      cache.get_or_compute<int>(key, [] { return 42; }));  // populate once
+      FixtureHandle<int>(key).get([] { return 42; }, cache));  // populate once
   for (auto _ : state) {
-    auto value = cache.get_or_compute<int>(key, [] { return 42; });
+    auto value = FixtureHandle<int>(key).get([] { return 42; }, cache);
     benchmark::DoNotOptimize(value);
   }
 }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "analysis/transient.hpp"
+#include "oracles/reference.hpp"
 #include "plants/servo_motor.hpp"
 #include "sim/jitter.hpp"
 #include "sim/switched_system.hpp"
@@ -47,8 +48,8 @@ BENCHMARK(bm_trajectory_simulate)->Unit(benchmark::kNanosecond);
 void bm_trajectory_simulate_reference(benchmark::State& state) {
   const ServoSetup setup;
   for (auto _ : state) {
-    auto traj = setup.sys.simulate_reference(setup.x0, ServoSetup::kSwitchStep,
-                                             ServoSetup::kTotalSteps, 0.02);
+    auto traj = sim::simulate_reference(setup.sys, setup.x0, ServoSetup::kSwitchStep,
+                                        ServoSetup::kTotalSteps, 0.02);
     benchmark::DoNotOptimize(traj);
   }
 }
@@ -105,7 +106,7 @@ void bm_jitter_settle_reference(benchmark::State& state) {
   const JitterSetup setup;
   Rng rng(0x5EED5EEDULL);
   for (auto _ : state) {
-    auto settle = setup.loop.settle_under_random_delays_reference(setup.z0, 0.1, rng);
+    auto settle = sim::settle_under_random_delays_reference(setup.loop, setup.z0, 0.1, rng);
     benchmark::DoNotOptimize(settle);
   }
 }

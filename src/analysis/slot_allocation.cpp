@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "runtime/parallel_search.hpp"
+#include "runtime/thread_pool.hpp"
 #include "util/error.hpp"
 
 namespace cps::analysis {
@@ -666,7 +667,7 @@ std::vector<FrontierNode> expand_frontier(SlotFeasibility& engine, const SearchF
 constexpr std::size_t kFrontierTarget = 128;
 
 /// Below this size the sequential search always wins; skip the fan-out.
-constexpr std::size_t kMinAppsForParallelSearch = 10;
+constexpr std::size_t kMinAppsForFanOut = 10;
 
 /// One level of the deepening: the canonical-first partition into at most
 /// `max_slots` slots, or nullopt when none exists.  With exact_jobs > 1
@@ -677,7 +678,7 @@ std::optional<std::vector<std::vector<std::size_t>>> search_level(
     const std::vector<AppSchedParams>& apps, SlotFeasibility& engine,
     const SearchFacts& facts, std::size_t max_slots, const AllocationOptions& options,
     std::uint64_t& nodes) {
-  if (options.exact_jobs <= 1 || facts.n < kMinAppsForParallelSearch) {
+  if (options.exact_jobs <= 1 || facts.n < kMinAppsForFanOut) {
     BoundedSearch search(engine, facts, max_slots, options.cancel);
     const bool found = search.run(SearchState(facts.n), 0);
     nodes += search.nodes();
@@ -692,23 +693,23 @@ std::optional<std::vector<std::vector<std::size_t>>> search_level(
   const auto frontier = expand_frontier(engine, facts, max_slots, kFrontierTarget);
   // The lowest task index that found a partition so far (frontier.size()
   // while none has); tasks above it stop.  A task that observes the
-  // cancel flag throws CancelledError, which map() rethrows after
-  // cancelling the pending tasks.
+  // cancel flag throws CancelledError, which parallel_map rethrows after
+  // dropping the pending tasks.
   runtime::SharedIncumbent winner(frontier.size());
-  runtime::ParallelSearch pool({options.exact_jobs});
-  const auto results = pool.map(frontier.size(), [&](std::size_t t) {
-    TaskResult result;
-    if (winner.load() < t) return result;
-    // Task-private memo; the facts are identical (same inputs).
-    SlotFeasibility task_engine(apps, facts.method);
-    BoundedSearch search(task_engine, facts, max_slots, options.cancel, &winner, t);
-    if (search.run(frontier[t].state, frontier[t].next_app)) {
-      winner.improve(t);
-      result.witness = search.witness();
-    }
-    result.nodes = search.nodes();
-    return result;
-  });
+  const auto results =
+      runtime::parallel_map(options.exact_jobs, frontier.size(), [&](std::size_t t) {
+        TaskResult result;
+        if (winner.load() < t) return result;
+        // Task-private memo; the facts are identical (same inputs).
+        SlotFeasibility task_engine(apps, facts.method);
+        BoundedSearch search(task_engine, facts, max_slots, options.cancel, &winner, t);
+        if (search.run(frontier[t].state, frontier[t].next_app)) {
+          winner.improve(t);
+          result.witness = search.witness();
+        }
+        result.nodes = search.nodes();
+        return result;
+      });
   for (const auto& result : results) nodes += result.nodes;
   if (winner.load() == frontier.size()) return std::nullopt;
   return results[winner.load()].witness;
@@ -808,67 +809,6 @@ Allocation optimal_allocate(std::vector<AppSchedParams> apps, const AllocationOp
     throw InfeasibleError("optimal allocation still exceeds the available " +
                           std::to_string(options.max_slots) + " TT slots");
   return finalize(materialize(best, apps), options);
-}
-
-Allocation optimal_allocate_reference(std::vector<AppSchedParams> apps,
-                                      const AllocationOptions& options,
-                                      std::size_t max_apps_for_exact) {
-  CPS_ENSURE(!apps.empty(), "optimal_allocate: need at least one application");
-  CPS_ENSURE(apps.size() <= max_apps_for_exact,
-             "optimal_allocate: exact search limited to max_apps_for_exact applications");
-  sort_by_priority(apps);
-  for (const auto& app : apps) {
-    if (!analyze_slot({app}, options.method).all_schedulable)
-      throw InfeasibleError("application '" + app.name +
-                            "' cannot meet its deadline even on a dedicated TT slot");
-  }
-
-  // The seed's pre-optimization branch and bound, frozen: place
-  // applications one by one into an existing block or a new one, pruning
-  // only branches that already use >= the best-known number of slots, with
-  // a full analyze_slot per visited node.
-  std::vector<std::vector<AppSchedParams>> best;
-  std::size_t best_count;
-  {
-    const Allocation seed = first_fit_allocate(apps, AllocationOptions{options.method, 0});
-    best_count = seed.slot_count();
-    best.clear();
-    for (const auto& names : seed.slots) {
-      std::vector<AppSchedParams> block;
-      for (const auto& name : names)
-        for (const auto& app : apps)
-          if (app.name == name) block.push_back(app);
-      best.push_back(std::move(block));
-    }
-  }
-
-  std::vector<std::vector<AppSchedParams>> current;
-  auto recurse = [&](auto&& self, std::size_t index) -> void {
-    if (current.size() >= best_count) return;  // cannot improve
-    if (index == apps.size()) {
-      best = current;
-      best_count = current.size();
-      return;
-    }
-    const AppSchedParams& app = apps[index];
-    for (std::size_t s = 0; s < current.size(); ++s) {
-      current[s].push_back(app);
-      if (analyze_slot(current[s], options.method).all_schedulable) self(self, index + 1);
-      current[s].pop_back();
-    }
-    if (current.size() + 1 < best_count) {
-      current.push_back({app});
-      self(self, index + 1);
-      current.pop_back();
-    }
-  };
-  recurse(recurse, 0);
-
-  if (options.max_slots != 0 && best_count > options.max_slots)
-    throw InfeasibleError("optimal allocation still exceeds the available " +
-                          std::to_string(options.max_slots) + " TT slots");
-  for (auto& slot : best) sort_by_priority(slot);
-  return finalize(std::move(best), options);
 }
 
 }  // namespace cps::analysis

@@ -48,7 +48,7 @@ struct AllocationOptions {
   std::size_t max_slots = 0;
   /// Worker threads for optimal_allocate's exact search (ignored by the
   /// heuristics).  <= 1 searches sequentially; > 1 fans each deepening
-  /// level's canonical frontier subtrees across a runtime::ParallelSearch
+  /// level's canonical frontier subtrees across runtime::parallel_map
   /// and keeps the witness of the lowest-index subtree that holds one.
   /// The returned Allocation is IDENTICAL for every value: that witness is
   /// the canonical-first partition the sequential search returns.
@@ -59,8 +59,8 @@ struct AllocationOptions {
   /// daemon sets it when a per-request deadline expires, so a
   /// pathological exact query returns deadline_exceeded instead of
   /// starving the worker pool).  Under exact_jobs > 1 the throw
-  /// propagates through runtime::ParallelSearch::map, which cancels the
-  /// pending subtree tasks.  A search that completes without observing
+  /// propagates through runtime::parallel_map, which drops the pending
+  /// subtree tasks.  A search that completes without observing
   /// the flag is unaffected — cancellation changes time, never answers.
   /// Ignored by the heuristics (they are allocation-free fast paths).
   const std::atomic<bool>* cancel = nullptr;
@@ -104,8 +104,8 @@ Allocation best_fit_allocate(std::vector<AppSchedParams> apps,
 /// options.exact_jobs > 1 each level fans out over canonical frontier
 /// subtrees (see AllocationOptions::exact_jobs).
 ///
-/// The result is bit-identical to optimal_allocate_reference for
-/// every input on which the slot analysis completes (asserted by
+/// The result is bit-identical to optimal_allocate_reference
+/// (oracles/reference.hpp) for every input on which the slot analysis completes (asserted by
 /// tests/analysis_golden_test.cpp) and identical at every exact_jobs
 /// value (tests/analysis_parallel_alloc_test.cpp).  One carve-out: under
 /// MaxWaitMethod::kFixedPoint, inputs whose recurrence exceeds the
@@ -117,13 +117,5 @@ Allocation best_fit_allocate(std::vector<AppSchedParams> apps,
 Allocation optimal_allocate(std::vector<AppSchedParams> apps,
                             const AllocationOptions& options = {},
                             std::size_t max_apps_for_exact = 20);
-
-/// The pre-optimization exhaustive branch-and-bound, frozen verbatim (one
-/// full analyze_slot per visited node, no lower bounds, no memoization).
-/// Kept as the golden baseline for the regression tests and the speedup
-/// benches; not used by any experiment.
-Allocation optimal_allocate_reference(std::vector<AppSchedParams> apps,
-                                      const AllocationOptions& options = {},
-                                      std::size_t max_apps_for_exact = 12);
 
 }  // namespace cps::analysis

@@ -58,12 +58,6 @@ TransientGrowth transient_growth(const linalg::Matrix& a,
 TransientGrowth transient_growth(const linalg::Matrix& a, const TransientGrowthOptions& opts,
                                  TransientWorkspace& workspace);
 
-/// Frozen pre-optimization copy of transient_growth() (one matrix
-/// temporary per power step); bit-identical — the golden baseline of
-/// tests/sim_golden_test.cpp.
-TransientGrowth transient_growth_reference(const linalg::Matrix& a,
-                                           const TransientGrowthOptions& opts = {});
-
 /// Growth envelope restricted to the leading `norm_dim` coordinates on
 /// both sides: gamma = max_k ||P A^k P^T||_2 with P selecting the first
 /// norm_dim states.  This is the growth the paper's threshold norm ||x||
@@ -78,11 +72,6 @@ TransientGrowth transient_growth_restricted(const linalg::Matrix& a, std::size_t
 TransientGrowth transient_growth_restricted(const linalg::Matrix& a, std::size_t norm_dim,
                                             const TransientGrowthOptions& opts,
                                             TransientWorkspace& workspace);
-
-/// Frozen pre-optimization copy of transient_growth_restricted();
-/// bit-identical — the golden baseline of tests/sim_golden_test.cpp.
-TransientGrowth transient_growth_restricted_reference(
-    const linalg::Matrix& a, std::size_t norm_dim, const TransientGrowthOptions& opts = {});
 
 /// Upper bound on the steady-state excursion after a TT-slot release at
 /// norm threshold * release_factor: peak_gain * release_factor * threshold.

@@ -23,13 +23,6 @@ linalg::Matrix augment_state_weight(const linalg::Matrix& q, std::size_t input_d
   return out;
 }
 
-linalg::Matrix augmented_closed_loop(const DiscreteSystem& sys, const linalg::Matrix& gain) {
-  const auto aug = sys.augmented();
-  CPS_ENSURE(gain.rows() == sys.input_dim() && gain.cols() == aug.a.rows(),
-             "augmented_closed_loop: gain must be m x (n+m)");
-  return aug.a - aug.b * gain;
-}
-
 HybridLoopDesign design_hybrid_loops(const StateSpace& plant, const HybridLoopSpec& spec) {
   CPS_ENSURE(spec.sampling_period > 0.0, "design_hybrid_loops: h must be positive");
   CPS_ENSURE(spec.delay_tt >= 0.0 && spec.delay_tt <= spec.sampling_period,

@@ -104,8 +104,4 @@ std::vector<std::complex<double>> oscillatory_pole_set(double rho, double theta,
 linalg::Matrix augment_state_weight(const linalg::Matrix& q, std::size_t input_dim,
                                     double input_weight);
 
-/// Closed-loop matrix on the augmented state for a gain K (m x (n+m))
-/// applied to the augmented realization of `sys`.
-linalg::Matrix augmented_closed_loop(const DiscreteSystem& sys, const linalg::Matrix& gain);
-
 }  // namespace cps::control

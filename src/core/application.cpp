@@ -59,19 +59,13 @@ analysis::ModelPtr ControlApplication::fit_model(ModelKind kind) {
 }
 
 analysis::AppSchedParams ControlApplication::sched_params() const {
-  CPS_ENSURE(model_ != nullptr,
-             "ControlApplication: fit_model() or set_model() before sched_params()");
+  CPS_ENSURE(model_ != nullptr, "ControlApplication: fit_model() before sched_params()");
   analysis::AppSchedParams params;
   params.name = name_;
   params.min_inter_arrival = timing_.min_inter_arrival;
   params.deadline = timing_.deadline;
   params.model = model_;
   return params;
-}
-
-void ControlApplication::set_model(analysis::ModelPtr model) {
-  CPS_ENSURE(model != nullptr, "ControlApplication: model must not be null");
-  model_ = std::move(model);
 }
 
 }  // namespace cps::core

@@ -69,10 +69,6 @@ class ControlApplication {
   /// (throws otherwise).
   analysis::AppSchedParams sched_params() const;
 
-  /// Override the model with externally supplied characteristics (e.g.
-  /// published Table I values) instead of a fitted one.
-  void set_model(analysis::ModelPtr model);
-
  private:
   std::string name_;
   control::HybridLoopDesign design_;

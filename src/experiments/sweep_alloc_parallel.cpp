@@ -3,8 +3,8 @@
 //
 // The paper's NP-hard minimum-slot problem is the kernel every campaign
 // leans on; this experiment pins down two properties of its parallel
-// branch-and-bound (analysis/slot_allocation.cpp + runtime/
-// parallel_search.hpp) on fixed proving instances of n = 14..20
+// branch-and-bound (analysis/slot_allocation.cpp over
+// runtime::parallel_map) on fixed proving instances of n = 14..20
 // applications:
 //
 //  1. DETERMINISM — optimal_allocate with exact_jobs in {1, 2, 4, 8}

@@ -95,12 +95,6 @@ Matrix Vector::outer(const Vector& rhs) const {
   return out;
 }
 
-Matrix Vector::as_column() const {
-  Matrix out(size(), 1);
-  for (std::size_t i = 0; i < size(); ++i) out(i, 0) = data_[i];
-  return out;
-}
-
 Vector Vector::head(std::size_t n) const {
   if (n > size()) throw DimensionMismatch("Vector::head out of range");
   Vector out(n);

@@ -71,9 +71,6 @@ class Vector {
   /// Outer product: (this) * rhs^T.
   Matrix outer(const Vector& rhs) const;
 
-  /// View as an n x 1 matrix.
-  Matrix as_column() const;
-
   /// First `n` components.
   Vector head(std::size_t n) const;
 

@@ -8,24 +8,9 @@
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
+#include "util/hash.hpp"
 
 namespace cps::online {
-
-namespace {
-
-/// FNV-1a over an app name: combined with the world seed, this keys the
-/// app's private arrival Rng — stable under fleet churn (joining or
-/// removing OTHER apps never perturbs an app's arrival stream).
-std::uint64_t name_hash(const std::string& name) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const unsigned char c : name) {
-    hash ^= c;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-}  // namespace
 
 World::World(ScenarioSpec scenario, std::uint64_t seed, ReallocationPolicy policy)
     : scenario_(std::move(scenario)), seed_(seed), policy_(policy) {
@@ -44,7 +29,10 @@ World::World(ScenarioSpec scenario, std::uint64_t seed, ReallocationPolicy polic
 }
 
 void World::add_app(plants::SynthesizedSchedApp params) {
-  const std::uint64_t app_seed = runtime::task_seed(seed_, name_hash(params.name));
+  // The app's private arrival Rng is keyed by (world seed, name hash):
+  // stable under fleet churn (joining or removing OTHER apps never
+  // perturbs an app's arrival stream).
+  const std::uint64_t app_seed = runtime::task_seed(seed_, util::fnv1a64(params.name));
   AppState state{std::move(params), Rng(app_seed), 0.0, 0, 0, false, 0.0};
   // First disturbance: at least one minimum inter-arrival time out, so a
   // joining app never fires mid-tick-0 of its life.

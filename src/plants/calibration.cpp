@@ -14,21 +14,6 @@ linalg::Vector augment_state(const linalg::Vector& x0_plant, std::size_t input_d
   return linalg::Vector::concat(x0_plant, linalg::Vector::zero(input_dim));
 }
 
-std::optional<double> settle_with_r(const control::StateSpace& plant,
-                                    control::HybridLoopSpec spec, LoopMode mode, double r,
-                                    const linalg::Vector& x0_plant, double threshold) {
-  if (mode == LoopMode::kTimeTriggered)
-    spec.r_tt = linalg::Matrix{{r}};
-  else
-    spec.r_et = linalg::Matrix{{r}};
-  try {
-    const control::HybridLoopDesign design = control::design_hybrid_loops(plant, spec);
-    return measure_pure_mode_settle(design, mode, x0_plant, threshold);
-  } catch (const Error&) {
-    return std::nullopt;  // weight made the design infeasible
-  }
-}
-
 }  // namespace
 
 std::optional<double> measure_pure_mode_settle(const control::HybridLoopDesign& design,
@@ -43,64 +28,6 @@ std::optional<double> measure_pure_mode_settle(const control::HybridLoopDesign& 
                                         design.state_dim, opts);
   if (!steps.has_value()) return std::nullopt;
   return static_cast<double>(*steps) * design.sys_tt.sampling_period();
-}
-
-std::optional<control::HybridLoopSpec> calibrate_input_weight(
-    const control::StateSpace& plant, control::HybridLoopSpec spec, LoopMode mode,
-    const linalg::Vector& x0_plant, const CalibrationTarget& target,
-    const CalibrationOptions& opts) {
-  CPS_ENSURE(plant.input_dim() == 1, "calibrate_input_weight supports single-input plants");
-  CPS_ENSURE(target.settle_seconds > 0.0, "calibration target must be positive");
-  CPS_ENSURE(opts.r_min > 0.0 && opts.r_min < opts.r_max, "calibration: bad R bracket");
-
-  const double h = spec.sampling_period;
-  const double tol = target.tolerance_steps * h;
-
-  // Bracket: settle time grows with R.  Verify the target is reachable.
-  auto settle_at = [&](double r) {
-    return settle_with_r(plant, spec, mode, r, x0_plant, target.threshold);
-  };
-  const auto lo_settle = settle_at(opts.r_min);
-  const auto hi_settle = settle_at(opts.r_max);
-  if (!lo_settle.has_value()) return std::nullopt;
-  if (*lo_settle > target.settle_seconds + tol) return std::nullopt;  // even cheapest too slow
-  if (hi_settle.has_value() && *hi_settle < target.settle_seconds - tol)
-    return std::nullopt;  // even most expensive too fast
-
-  double lo = std::log(opts.r_min), hi = std::log(opts.r_max);
-  double best_r = opts.r_min;
-  double best_err = std::fabs(*lo_settle - target.settle_seconds);
-
-  for (int i = 0; i < opts.max_bisections; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    const double r = std::exp(mid);
-    const auto settle = settle_at(r);
-    if (!settle.has_value()) {
-      // Design/settling failed at this weight — treat as "too slow".
-      hi = mid;
-      continue;
-    }
-    const double err = std::fabs(*settle - target.settle_seconds);
-    if (err < best_err) {
-      best_err = err;
-      best_r = r;
-    }
-    if (err <= tol) break;
-    if (*settle < target.settle_seconds)
-      lo = mid;  // too fast -> raise R
-    else
-      hi = mid;  // too slow -> lower R
-  }
-
-  // Best effort: the settle-vs-weight map can jump across oscillation
-  // lobes, so the target may be unattainable exactly; return the closest
-  // achievable design (the bracket checks above already guaranteed the
-  // target is interior).
-  if (mode == LoopMode::kTimeTriggered)
-    spec.r_tt = linalg::Matrix{{best_r}};
-  else
-    spec.r_et = linalg::Matrix{{best_r}};
-  return spec;
 }
 
 namespace {
@@ -175,8 +102,10 @@ std::optional<control::PolePlacementLoopSpec> calibrate_decay_radius(
       hi = mid;
   }
 
-  // Best effort (see calibrate_input_weight): settle time is piecewise
-  // constant in rho with occasional jumps, so return the closest design.
+  // Best effort: settle time is piecewise constant in rho with occasional
+  // jumps across oscillation lobes, so the target may be unattainable
+  // exactly; return the closest achievable design (the bracket checks
+  // above already guaranteed the target is interior).
   if (mode == LoopMode::kTimeTriggered)
     spec.poles_tt = with_pair_radius(spec.poles_tt, best_rho);
   else

@@ -1,11 +1,11 @@
 // Settle-time-targeted controller calibration.
 //
 // The paper reports settling times (xi^TT, xi^ET) for its applications but
-// not the underlying weights; to synthesize plants whose measured timing
-// parameters land near Table I we search over the LQR input weight R: a
-// larger R makes control effort expensive, slowing the loop down, so the
-// settling time is (piecewise) increasing in R and a bracketed bisection
-// on log(R) finds a weight hitting the requested settling time.
+// not the underlying controllers; to synthesize plants whose measured
+// timing parameters land near Table I we search over the radius of the
+// dominant closed-loop pole pair: a larger radius decays more slowly, so
+// the settling time is (piecewise) increasing in it and a bracketed
+// bisection finds a radius hitting the requested settling time.
 #pragma once
 
 #include <optional>
@@ -25,22 +25,6 @@ struct CalibrationTarget {
   double tolerance_steps = 1.0; ///< accept within this many sampling periods
 };
 
-struct CalibrationOptions {
-  double r_min = 1e-6;
-  double r_max = 1e6;
-  int max_bisections = 60;
-};
-
-/// Find an input weight R (scalar plants only) for `mode` such that the
-/// pure-mode settling time from `x0_plant` (plant coordinates, the held
-/// input is initialized to zero) is close to the target.  Returns the
-/// calibrated spec, or std::nullopt when the target is unreachable within
-/// [r_min, r_max] (e.g. requested faster than the plant allows).
-std::optional<control::HybridLoopSpec> calibrate_input_weight(
-    const control::StateSpace& plant, control::HybridLoopSpec spec, LoopMode mode,
-    const linalg::Vector& x0_plant, const CalibrationTarget& target,
-    const CalibrationOptions& opts = {});
-
 /// Measured pure-mode settling time [s] for a given design (helper shared
 /// with tests/benches).  std::nullopt when the loop fails to settle.
 std::optional<double> measure_pure_mode_settle(const control::HybridLoopDesign& design,
@@ -53,11 +37,12 @@ struct RadiusCalibrationOptions {
   int max_bisections = 60;
 };
 
-/// Pole-placement counterpart of calibrate_input_weight: bisect on the
-/// radius of the dominant conjugate pole pair of `mode` (keeping its angle
-/// and the remaining poles fixed) until the pure-mode settling time from
-/// `x0_plant` matches the target.  The settling time is increasing in the
-/// radius, so a log-free bisection on rho suffices.
+/// Bisect on the radius of the dominant conjugate pole pair of `mode`
+/// (keeping its angle and the remaining poles fixed) until the pure-mode
+/// settling time from `x0_plant` (plant coordinates, the held input is
+/// initialized to zero) matches the target.  Returns the calibrated spec,
+/// or std::nullopt when the target is unreachable within
+/// [rho_min, rho_max] (e.g. requested faster than the plant allows).
 std::optional<control::PolePlacementLoopSpec> calibrate_decay_radius(
     const control::StateSpace& plant, control::PolePlacementLoopSpec spec, LoopMode mode,
     const linalg::Vector& x0_plant, const CalibrationTarget& target,

@@ -1,9 +1,9 @@
 #include "runtime/campaign_spec.hpp"
 
-#include <cinttypes>
-#include <cstdio>
 #include <set>
 #include <utility>
+
+#include "util/hash.hpp"
 
 namespace cps::runtime {
 
@@ -28,22 +28,9 @@ constexpr std::size_t kMaxShardPlan = 4096;  // same cap as cps_run --shard
 
 }  // namespace
 
-std::uint64_t CampaignSpec::digest() const {
-  // FNV-1a 64 over the canonical rendering — the same hash family
-  // FixtureKey uses, applied to the whole parameter set.
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : params.canonical()) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
+std::uint64_t CampaignSpec::digest() const { return util::fnv1a64(params.canonical()); }
 
-std::string CampaignSpec::digest_hex() const {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016" PRIx64, digest());
-  return buffer;
-}
+std::string CampaignSpec::digest_hex() const { return util::hex64(digest()); }
 
 CampaignSpec make_campaign_spec(TomlTable table, std::string source) {
   CampaignSpec spec;

@@ -7,12 +7,8 @@ namespace cps::runtime {
 FixtureKey::FixtureKey(std::string domain) : domain_(std::move(domain)) {}
 
 void FixtureKey::mix_bytes(const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash_ ^= bytes[i];
-    hash_ *= 0x100000001b3ULL;  // FNV-1a prime
-  }
-  material_.append(reinterpret_cast<const char*>(bytes), size);
+  hash_.add(data, size);
+  material_.append(static_cast<const char*>(data), size);
 }
 
 FixtureKey& FixtureKey::add(double value) {
@@ -51,11 +47,10 @@ FixtureKey& FixtureKey::add(const linalg::Vector& v) {
 }
 
 std::string FixtureKey::str() const {
-  static const char* hex = "0123456789abcdef";
-  std::string out = domain_;
-  out.push_back('/');
-  for (int shift = 60; shift >= 0; shift -= 4)
-    out.push_back(hex[(hash_ >> shift) & 0xF]);
+  // Rendered once per fixture lookup: build it in a single allocation.
+  std::string out(domain_.size() + 17, '/');
+  domain_.copy(&out[0], domain_.size());
+  util::write_hex64(hash_.value(), &out[domain_.size() + 1]);
   return out;
 }
 

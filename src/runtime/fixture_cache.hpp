@@ -3,10 +3,12 @@
 // A cps_run campaign executes many experiments that share expensive
 // deterministic inputs — the servo dwell/wait curve (fig3, fig4, benches),
 // the synthesized six-plant fleet and its hybrid loop designs (table1,
-// fig5, ablation_envelope), the per-application envelope curves.  Before
-// this cache each experiment re-derived them from scratch; now the first
-// requester computes a fixture once and every later requester (on any
-// ThreadPool worker) shares the immutable result.
+// fig5, ablation_envelope), the per-application envelope curves.  The
+// first requester computes a fixture once and every later requester (on
+// any ThreadPool worker) shares the immutable result.  Every lookup goes
+// through one entry point:
+//
+//   FixtureHandle<T>(key)[.with_codec(codec)].get(compute[, cache])
 //
 // Keys are content-addressed: FixtureKey hashes every input that
 // determines the fixture (matrices entry by entry, scalars bit by bit),
@@ -36,13 +38,15 @@
 #include "linalg/vector.hpp"
 #include "runtime/fixture_store.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/serialize.hpp"
 
 namespace cps::runtime {
 
-/// Builder of content-addressed cache keys: FNV-1a over the bit patterns
-/// of every field added.  The rendered key is "<domain>/<16-hex-digits>",
-/// so the domain keeps keys debuggable while the hash carries the content.
+/// Builder of content-addressed cache keys: FNV-1a 64 (util/hash.hpp) over
+/// the bit patterns of every field added.  The rendered key is
+/// "<domain>/<16-hex-digits>", so the domain keeps keys debuggable while
+/// the hash carries the content.
 class FixtureKey {
  public:
   /// Start a key in `domain` (a short fixture-family name, e.g.
@@ -68,7 +72,7 @@ class FixtureKey {
 
   std::string domain_;
   std::string material_;
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+  util::Fnv1a64 hash_;
 };
 
 /// Binary codec for one fixture type: how the two-level cache persists a
@@ -103,15 +107,11 @@ class FixtureHandle;
 /// codec-carrying requests consult the disk layer on a memory miss — a
 /// valid store file is decoded instead of computed, and a fresh compute
 /// is persisted for the next process.  Without a store (or for
-/// codec-less requests) behaviour is exactly the PR-2 single-level
-/// cache.
+/// codec-less requests) it is a memory-only cache.
 ///
 /// API: FixtureHandle<T> (below) is the single entry point — it binds
 /// the key (content-addressed FixtureKey or recipe-name string) and the
-/// optional codec once, and get() runs the lookup.  The get_or_compute
-/// overloads are retained as thin shims over FixtureHandle for existing
-/// call sites; both spellings hit the same implementation path, same
-/// wire formats, same digests.
+/// optional codec once, and get() runs the lookup.
 class FixtureCache {
  public:
   /// The singleton shared by every experiment in the process.
@@ -124,31 +124,6 @@ class FixtureCache {
     std::size_t misses = 0;   ///< requests that computed the fixture
     std::size_t entries = 0;  ///< fixtures currently stored
   };
-
-  // get_or_compute shims (defined after FixtureHandle below): each one
-  // forwards to FixtureHandle<T>{key[, codec]}.get(compute, *this).
-
-  /// Look up `key`; on a miss invoke `compute` (a callable returning T by
-  /// value) and store the result.  Throws cps::Error when the same key was
-  /// populated with a different type, or when a digest collision is
-  /// detected (stored key material differs).
-  template <typename T, typename Fn>
-  std::shared_ptr<const T> get_or_compute(const FixtureKey& key, Fn&& compute);
-
-  /// String-keyed shim for nullary fixtures whose content is the
-  /// (versioned) recipe name itself.
-  template <typename T, typename Fn>
-  std::shared_ptr<const T> get_or_compute(const std::string& key, Fn&& compute);
-
-  /// Codec-carrying shims: same compute-once semantics, plus the
-  /// on-disk layer when a store is attached (disk hit -> decode; miss ->
-  /// compute + persist).  Bit-identical results either way.
-  template <typename T, typename Fn>
-  std::shared_ptr<const T> get_or_compute(const FixtureKey& key, const FixtureCodec<T>& codec,
-                                          Fn&& compute);
-  template <typename T, typename Fn>
-  std::shared_ptr<const T> get_or_compute(const std::string& key, const FixtureCodec<T>& codec,
-                                          Fn&& compute);
 
   /// Attach (or detach, with nullptr) the persistent second level.  Set
   /// once at process start — cps_run wires --fixture-store here before
@@ -262,10 +237,9 @@ class FixtureCache {
 
 /// The single fixture entry point: one handle binds WHAT identifies a
 /// fixture (key + material) and HOW it persists (optional codec); get()
-/// runs the two-level lookup.  Replaces the former 2x2 overload grid of
-/// FixtureCache::get_or_compute — every combination is now one
-/// constructor choice plus an optional with_codec(), and every lookup
-/// funnels through the same implementation:
+/// runs the two-level lookup.  Each combination of key kind and
+/// persistence is one constructor choice plus an optional with_codec(),
+/// and every lookup funnels through the same implementation:
 ///
 ///   auto fleet = FixtureHandle<Fleet>(key)         // content-addressed
 ///                    .with_codec(fleet_codec())    // optional disk layer
@@ -316,32 +290,5 @@ class FixtureHandle {
   FixtureCodec<T> codec_;
   bool has_codec_ = false;
 };
-
-// --- get_or_compute shims -------------------------------------------------
-// Kept for existing call sites; byte-identical behaviour to the handle.
-
-template <typename T, typename Fn>
-std::shared_ptr<const T> FixtureCache::get_or_compute(const FixtureKey& key, Fn&& compute) {
-  return FixtureHandle<T>(key).get(std::forward<Fn>(compute), *this);
-}
-
-template <typename T, typename Fn>
-std::shared_ptr<const T> FixtureCache::get_or_compute(const std::string& key, Fn&& compute) {
-  return FixtureHandle<T>(key).get(std::forward<Fn>(compute), *this);
-}
-
-template <typename T, typename Fn>
-std::shared_ptr<const T> FixtureCache::get_or_compute(const FixtureKey& key,
-                                                      const FixtureCodec<T>& codec,
-                                                      Fn&& compute) {
-  return FixtureHandle<T>(key).with_codec(codec).get(std::forward<Fn>(compute), *this);
-}
-
-template <typename T, typename Fn>
-std::shared_ptr<const T> FixtureCache::get_or_compute(const std::string& key,
-                                                      const FixtureCodec<T>& codec,
-                                                      Fn&& compute) {
-  return FixtureHandle<T>(key).with_codec(codec).get(std::forward<Fn>(compute), *this);
-}
 
 }  // namespace cps::runtime

@@ -19,6 +19,7 @@
 
 #include "runtime/crash_point.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/serialize.hpp"
 
 namespace cps::runtime {
@@ -33,15 +34,6 @@ namespace {
 //   string           codec payload
 //   u64              FNV-1a 64 over every byte between magic and here
 constexpr char kMagic[8] = {'C', 'P', 'S', 'F', 'I', 'X', 'S', '\n'};
-
-std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (unsigned char byte : bytes) {
-    hash ^= byte;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
 
 /// Canonical spelling of a store file path.  path_of() concatenates with
 /// '/' while the gc scan walks a directory iterator; a store directory
@@ -104,7 +96,8 @@ std::optional<std::string> FixtureStore::load(const std::string& key, std::strin
   {
     util::BinaryReader trailer(
         std::string_view(blob.data() + blob.size() - 8, 8));
-    if (trailer.read_u64() != fnv1a(body)) return invalid("checksum mismatch (corrupt file)");
+    if (trailer.read_u64() != util::fnv1a64(body))
+      return invalid("checksum mismatch (corrupt file)");
   }
 
   try {
@@ -147,7 +140,7 @@ void FixtureStore::save(const std::string& key, std::string_view format,
   writer.write_string(format);
   writer.write_string(material);
   writer.write_string(payload);
-  const std::uint64_t checksum = fnv1a(writer.bytes());
+  const std::uint64_t checksum = util::fnv1a64(writer.bytes());
 
   auto warn = [&](const std::string& why) {
     std::fprintf(stderr, "[fixture-store] WARNING: cannot persist %s: %s\n", path.c_str(),

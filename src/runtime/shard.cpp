@@ -1,16 +1,14 @@
 #include "runtime/shard.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
 
 #include "runtime/crash_point.hpp"
 #include "util/error.hpp"
+#include "util/file.hpp"
+#include "util/hash.hpp"
 
 namespace cps::runtime {
 
@@ -33,39 +31,7 @@ std::string shard_suffix(std::size_t shard_index, std::size_t shard_count) {
 namespace {
 
 /// Canonical spelling of the sidecar's seed line.
-std::string seed_line_for(std::uint64_t seed) {
-  char seed_hex[32];
-  std::snprintf(seed_hex, sizeof(seed_hex), "%016llx",
-                static_cast<unsigned long long>(seed));
-  return "seed=0x" + std::string(seed_hex);
-}
-
-/// Atomic text-file publication: unique temp in the same directory, then
-/// rename.  A crash (or kill-signal) at any instant leaves either the
-/// old file or the new one — never a torn in-between — which is what
-/// lets the supervisor treat "file present" as "file whole".
-void write_text_atomic(const std::string& path, const std::string& contents,
-                       const char* what) {
-  const std::string temp_path = path + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream out(temp_path, std::ios::trunc | std::ios::binary);
-    if (!out)
-      throw Error(std::string(what) + ": cannot open '" + temp_path + "' for writing");
-    out << contents;
-    out.flush();
-    if (!out) {
-      std::error_code error;
-      std::filesystem::remove(temp_path, error);
-      throw Error(std::string(what) + ": short write to '" + temp_path + "'");
-    }
-  }
-  std::error_code error;
-  std::filesystem::rename(temp_path, path, error);
-  if (error) {
-    std::filesystem::remove(temp_path, error);
-    throw Error(std::string(what) + ": cannot publish '" + path + "': " + error.message());
-  }
-}
+std::string seed_line_for(std::uint64_t seed) { return "seed=0x" + util::hex64(seed); }
 
 /// Parse the leading `index` field of a data row; npos on failure.
 std::size_t leading_index(const std::string& row) {
@@ -234,8 +200,9 @@ void write_shard_meta(const std::string& csv_path, std::uint64_t seed,
   // and resume both treat the shard as NOT landed until the sidecar's
   // rename below completes.
   crash_point("meta_publish");
-  write_text_atomic(csv_path + ".meta",
-                    meta_contents(seed, shard_index, shard_count, lines - 1), "shard meta");
+  util::write_text_atomic(csv_path + ".meta",
+                          meta_contents(seed, shard_index, shard_count, lines - 1),
+                          "shard meta");
 }
 
 std::size_t merge_sweep_csv(const std::string& canonical_path, std::size_t shard_count) {
@@ -317,7 +284,7 @@ std::size_t merge_sweep_csv(const std::string& canonical_path, std::size_t shard
       merged += '\n';
       ++rows;
     }
-  write_text_atomic(canonical_path, merged, "merge");
+  util::write_text_atomic(canonical_path, merged, "merge");
   return rows;
 }
 
@@ -385,7 +352,8 @@ PartialMergeReport merge_sweep_csv_partial(const std::string& canonical_path,
   }
 
   if (reference != nullptr)
-    write_text_atomic(canonical_path, reference->header + "\n" + merged, "partial merge");
+    util::write_text_atomic(canonical_path, reference->header + "\n" + merged,
+                            "partial merge");
   return report;
 }
 

@@ -19,6 +19,8 @@
 
 #include "runtime/backoff.hpp"
 #include "util/error.hpp"
+#include "util/file.hpp"
+#include "util/hash.hpp"
 #include "util/signal_safe.hpp"
 
 namespace cps::runtime {
@@ -68,21 +70,6 @@ std::string log_tail(const std::string& path) {
   std::string tail;
   for (const auto& kept : lines) tail += "\n      | " + kept;
   return tail;
-}
-
-/// Atomic small-file publication (same contract as the shard layer's).
-void publish_text(const std::string& path, const std::string& contents) {
-  const std::string temp_path = path + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream out(temp_path, std::ios::trunc | std::ios::binary);
-    if (!out) throw Error("manifest: cannot open '" + temp_path + "' for writing");
-    out << contents;
-    out.flush();
-    if (!out) throw Error("manifest: short write to '" + temp_path + "'");
-  }
-  std::error_code error;
-  std::filesystem::rename(temp_path, path, error);
-  if (error) throw Error("manifest: cannot publish '" + path + "': " + error.message());
 }
 
 std::string json_escape(const std::string& text) {
@@ -451,13 +438,9 @@ std::string write_campaign_manifest(const std::string& csv_dir,
                                     const std::vector<PartialMergeReport>& merges) {
   CPS_ENSURE(artifacts.size() == merges.size(),
              "write_campaign_manifest: one merge report per artifact");
-  char seed_hex[32];
-  std::snprintf(seed_hex, sizeof(seed_hex), "0x%016llx",
-                static_cast<unsigned long long>(seed));
-
   std::string json = "{\n";
   json += "  \"manifest_version\": 1,\n";
-  json += "  \"campaign_seed\": \"" + std::string(seed_hex) + "\",\n";
+  json += "  \"campaign_seed\": \"0x" + util::hex64(seed) + "\",\n";
   const std::size_t shard_count =
       merges.empty() ? report.outcomes.size() : merges.front().shard_count;
   json += "  \"shard_count\": " + std::to_string(shard_count) + ",\n";
@@ -520,7 +503,7 @@ std::string write_campaign_manifest(const std::string& csv_dir,
 
   const std::string path =
       csv_dir.empty() ? "campaign_manifest.json" : csv_dir + "/campaign_manifest.json";
-  publish_text(path, json);
+  util::write_text_atomic(path, json, "manifest");
   return path;
 }
 

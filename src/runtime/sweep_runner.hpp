@@ -1,12 +1,12 @@
 // Deterministic parallel fan-out of parameter grids.
 //
 // SweepRunner evaluates a task function over a (possibly sharded) global
-// index range, spread across a work-stealing ThreadPool in CONTIGUOUS
-// CHUNKS: instead of one future per index (whose promise/packaged_task
-// machinery dominates fine-grained grids), each pool task runs a block
-// of consecutive indices and returns the block's results, so the
-// per-index overhead is amortized to nearly zero while work stealing
-// still balances uneven grids chunk by chunk.
+// index range in CONTIGUOUS CHUNKS, fanned out by parallel_map
+// (runtime/thread_pool.hpp): instead of one future per index (whose
+// promise/packaged_task machinery dominates fine-grained grids), each
+// pool task runs a block of consecutive indices and returns the block's
+// results, so the per-index overhead is amortized to nearly zero while
+// work stealing still balances uneven grids chunk by chunk.
 //
 // Determinism contract: each index receives its own Rng seeded by
 // task_seed(base_seed, global_index) and must draw randomness ONLY from
@@ -28,7 +28,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <future>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -120,58 +120,16 @@ class SweepRunner {
       -> std::vector<decltype(fn(std::size_t{}, std::declval<Rng&>(),
                                  std::declval<Workspace&>()))> {
     using Result = decltype(fn(std::size_t{}, std::declval<Rng&>(), std::declval<Workspace&>()));
-    const ShardRange shard = range(count);
-    std::vector<Result> results;
-    results.reserve(shard.size());
-    if (shard.size() == 0) return results;
-
-    const std::uint64_t base = options_.seed;
-    if (options_.jobs <= 1) {
-      Workspace workspace{};
-      for (std::size_t i = shard.begin; i < shard.end; ++i) {
-        Rng rng(task_seed(base, i));
-        results.push_back(fn(i, rng, workspace));
-      }
-      return results;
-    }
-
-    const std::size_t workers =
-        std::min(static_cast<std::size_t>(options_.jobs), shard.size());
-    const std::size_t chunk =
-        options_.chunk != 0
-            ? options_.chunk
-            : std::max<std::size_t>(1, shard.size() / (workers * kChunksPerWorker));
-    ThreadPool pool(workers);
-    std::vector<std::future<std::vector<Result>>> futures;
-    futures.reserve((shard.size() + chunk - 1) / chunk);
-    for (std::size_t lo = shard.begin; lo < shard.end; lo += chunk) {
-      const std::size_t hi = std::min(lo + chunk, shard.end);
-      futures.push_back(pool.submit([fn, base, lo, hi]() {
-        // One workspace per chunk: allocated scratch survives across the
-        // chunk's indices, which is what removes the per-index
-        // allocation churn of the old one-future-per-index fan-out.
-        Workspace workspace{};
-        std::vector<Result> block;
-        block.reserve(hi - lo);
-        for (std::size_t i = lo; i < hi; ++i) {
-          Rng rng(task_seed(base, i));
-          block.push_back(fn(i, rng, workspace));
-        }
-        return block;
-      }));
-    }
-    try {
-      for (auto& future : futures) {
-        auto block = future.get();
-        for (auto& value : block) results.push_back(std::move(value));
-      }
-    } catch (...) {
-      // Fail fast: drop the queued chunks so the pool's destructor joins
-      // after the in-flight ones instead of draining the whole campaign.
-      pool.cancel_pending();
-      throw;
-    }
-    return results;
+    return run_span_with_workspace<Workspace>(
+        count, [&fn](const IndexSpan& span, Workspace& workspace) {
+          std::vector<Result> block;
+          block.reserve(span.size());
+          for (std::size_t i = span.begin; i < span.end; ++i) {
+            Rng rng = span.rng_at(i);
+            block.push_back(fn(i, rng, workspace));
+          }
+          return block;
+        });
   }
 
   /// Batch-aware chunk iteration: where run_with_workspace calls fn once
@@ -191,50 +149,36 @@ class SweepRunner {
   auto run_span_with_workspace(std::size_t count, Fn fn)
       -> decltype(fn(std::declval<const IndexSpan&>(), std::declval<Workspace&>())) {
     using Block = decltype(fn(std::declval<const IndexSpan&>(), std::declval<Workspace&>()));
-    using Result = typename Block::value_type;
     const ShardRange shard = range(count);
-    std::vector<Result> results;
-    results.reserve(shard.size());
-    if (shard.size() == 0) return results;
+    if (shard.size() == 0) return Block{};
 
+    // One chunk per pool task, one workspace per chunk: allocated scratch
+    // survives across the chunk's indices.
+    std::size_t chunk = shard.size();
+    if (options_.jobs > 1) {
+      const std::size_t workers =
+          std::min(static_cast<std::size_t>(options_.jobs), shard.size());
+      chunk = options_.chunk != 0
+                  ? options_.chunk
+                  : std::max<std::size_t>(1, shard.size() / (workers * kChunksPerWorker));
+    }
     const std::uint64_t base = options_.seed;
-    const auto run_span = [&fn, base](std::size_t lo, std::size_t hi, Workspace& workspace) {
-      const IndexSpan span{lo, hi, base};
-      Block block = fn(span, workspace);
-      CPS_ENSURE(block.size() == span.size(),
-                 "run_span_with_workspace: body must return one result per span index");
-      return block;
-    };
-    if (options_.jobs <= 1) {
-      Workspace workspace{};
-      return run_span(shard.begin, shard.end, workspace);
-    }
-
-    const std::size_t workers =
-        std::min(static_cast<std::size_t>(options_.jobs), shard.size());
-    const std::size_t chunk =
-        options_.chunk != 0
-            ? options_.chunk
-            : std::max<std::size_t>(1, shard.size() / (workers * kChunksPerWorker));
-    ThreadPool pool(workers);
-    std::vector<std::future<Block>> futures;
-    futures.reserve((shard.size() + chunk - 1) / chunk);
-    for (std::size_t lo = shard.begin; lo < shard.end; lo += chunk) {
-      const std::size_t hi = std::min(lo + chunk, shard.end);
-      futures.push_back(pool.submit([run_span, lo, hi]() {
-        Workspace workspace{};
-        return run_span(lo, hi, workspace);
-      }));
-    }
-    try {
-      for (auto& future : futures) {
-        auto block = future.get();
-        for (auto& value : block) results.push_back(std::move(value));
-      }
-    } catch (...) {
-      pool.cancel_pending();
-      throw;
-    }
+    auto blocks = parallel_map(
+        options_.jobs, (shard.size() + chunk - 1) / chunk, [&](std::size_t c) {
+          const std::size_t lo = shard.begin + c * chunk;
+          const IndexSpan span{lo, std::min(lo + chunk, shard.end), base};
+          Workspace workspace{};
+          Block block = fn(span, workspace);
+          CPS_ENSURE(block.size() == span.size(),
+                     "run_span_with_workspace: body must return one result per span index");
+          return block;
+        });
+    if (blocks.size() == 1) return std::move(blocks.front());
+    Block results;
+    results.reserve(shard.size());
+    for (auto& block : blocks)
+      results.insert(results.end(), std::make_move_iterator(block.begin()),
+                     std::make_move_iterator(block.end()));
     return results;
   }
 

@@ -1,17 +1,21 @@
-// Work-stealing thread pool for the experiment-runner subsystem.
+// Work-stealing thread pool for the experiment-runner subsystem, and
+// parallel_map, the one ordered fan-out loop over it.
 //
 // Each worker owns a deque of pending tasks.  Submissions are distributed
 // round-robin across the worker deques; a worker pops its own deque from
 // the back (LIFO, cache-warm) and, when empty, steals from the front of a
 // peer's deque (FIFO, oldest first), so uneven parameter grids keep every
 // core busy.  Results and exceptions propagate through std::future, which
-// is what SweepRunner relies on for exception-safe fan-out.
+// is what parallel_map relies on for exception-safe fan-out.  SweepRunner
+// (chunks of a parameter grid) and the exact slot allocator (subtrees of
+// one search level) both fan out through parallel_map.
 //
 // The deques share one mutex: experiment tasks are coarse (milliseconds to
 // seconds each), so queue contention is negligible and a single lock keeps
 // the sleep/wake protocol trivially correct.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -72,5 +76,40 @@ class ThreadPool {
   std::size_t next_queue_ = 0;  // round-robin submission cursor
   bool stopping_ = false;
 };
+
+/// Evaluate fn(i) for every i in [0, count) and return the results in
+/// index order.  jobs <= 1 runs every call inline on the calling thread,
+/// in index order; otherwise the calls run on a pool of
+/// min(jobs, count) workers.  fn may be called concurrently, so any state
+/// it shares across indices must be read-only or monotone (relaxed
+/// atomics, runtime::SharedIncumbent).  When a call throws, the
+/// not-yet-started calls are dropped and the exception propagates once
+/// the in-flight calls have finished.
+template <typename Fn>
+auto parallel_map(int jobs, std::size_t count, const Fn& fn)
+    -> std::vector<decltype(fn(std::size_t{}))> {
+  using Result = decltype(fn(std::size_t{}));
+  std::vector<Result> results;
+  results.reserve(count);
+  if (jobs <= 1 || count == 0) {
+    for (std::size_t i = 0; i < count; ++i) results.push_back(fn(i));
+    return results;
+  }
+
+  ThreadPool pool(std::min(static_cast<std::size_t>(jobs), count));
+  std::vector<std::future<Result>> futures;
+  futures.reserve(count);
+  for (std::size_t i = 0; i < count; ++i)
+    futures.push_back(pool.submit([&fn, i]() { return fn(i); }));
+  try {
+    for (auto& future : futures) results.push_back(future.get());
+  } catch (...) {
+    // Fail fast: drop the queued calls so the pool's destructor joins
+    // after the in-flight ones instead of draining the whole range.
+    pool.cancel_pending();
+    throw;
+  }
+  return results;
+}
 
 }  // namespace cps::runtime

@@ -23,6 +23,7 @@
 #include "runtime/crash_point.hpp"
 #include "runtime/fixture_cache.hpp"
 #include "util/error.hpp"
+#include "util/file.hpp"
 
 namespace cps::serve {
 
@@ -215,11 +216,12 @@ void Server::run() {
   runtime::crash_point("serve_ready");
 
   if (!options_.ready_file.empty()) {
-    const std::string tmp = options_.ready_file + ".tmp";
-    if (std::FILE* f = std::fopen(tmp.c_str(), "wb")) {
-      std::fputs("ready\n", f);
-      std::fclose(f);
-      std::rename(tmp.c_str(), options_.ready_file.c_str());
+    // Report and keep serving: a throw here, with the workers running,
+    // would terminate the process.
+    try {
+      util::write_text_atomic(options_.ready_file, "ready\n", "ready file");
+    } catch (const Error& error) {
+      std::fprintf(stderr, "cps_serve: %s\n", error.what());
     }
   }
   serving_.store(true, std::memory_order_release);

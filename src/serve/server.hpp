@@ -77,6 +77,7 @@ struct ServeOptions {
   const volatile std::sig_atomic_t* drain_flag = nullptr;
   /// When non-empty, this file is written (atomically) once the server
   /// is accepting — scripts poll for it instead of retrying connects.
+  /// A failed write is reported on stderr; the server keeps serving.
   std::string ready_file;
 };
 

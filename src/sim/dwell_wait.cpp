@@ -38,11 +38,6 @@ double DwellWaitCurve::k_p() const {
   return points_[best_index].wait_s;
 }
 
-double DwellWaitCurve::dwell_at_steps(std::size_t wait_steps) const {
-  CPS_ENSURE(wait_steps < points_.size(), "DwellWaitCurve: wait beyond sweep range");
-  return points_[wait_steps].dwell_s;
-}
-
 double DwellWaitCurve::response_at(std::size_t index) const {
   CPS_ENSURE(index < points_.size(), "DwellWaitCurve: index out of range");
   return points_[index].wait_s + points_[index].dwell_s;
@@ -134,67 +129,6 @@ DwellWaitCurve measure_dwell_wait_curve(const SwitchedLinearSystem& sys,
       push_point(w + l, *dwells[l]);
     }
     w += group;
-  }
-  return DwellWaitCurve(sampling_period, std::move(points));
-}
-
-namespace {
-
-/// Verbatim copy of the seed's settle loop (linalg::Vector arithmetic,
-/// one allocation per step) — the baseline the golden tests compare
-/// against.
-std::optional<std::size_t> settle_under_reference(const linalg::Matrix& a, linalg::Vector x,
-                                                  std::size_t norm_dim,
-                                                  const SettlingOptions& opts) {
-  const double stop_level = opts.threshold * opts.decay_margin;
-  std::size_t last_violation = 0;
-  bool ever_violated = false;
-  for (std::size_t k = 0; k <= opts.max_steps; ++k) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < norm_dim; ++i) acc += x[i] * x[i];
-    const double norm = std::sqrt(acc);
-    if (!std::isfinite(norm)) return std::nullopt;
-    if (norm > opts.threshold) {
-      last_violation = k;
-      ever_violated = true;
-    } else if (norm <= stop_level) {
-      return ever_violated ? last_violation + 1 : 0;
-    }
-    x = a * x;
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
-DwellWaitCurve measure_dwell_wait_curve_reference(const SwitchedLinearSystem& sys,
-                                                  const linalg::Vector& x0,
-                                                  double sampling_period,
-                                                  const DwellWaitSweepOptions& opts) {
-  CPS_ENSURE(sampling_period > 0.0, "measure_dwell_wait_curve: h must be positive");
-  CPS_ENSURE(x0.size() == sys.dimension(), "measure_dwell_wait_curve: x0 dimension mismatch");
-
-  const auto et_settle = settle_under_reference(sys.a_et(), x0, sys.norm_dim(), opts.settling);
-  if (!et_settle.has_value())
-    throw NumericalError("dwell/wait sweep: ET loop did not settle within the cap");
-  const std::size_t sweep_end = std::min(*et_settle, opts.max_wait_steps);
-
-  std::vector<DwellWaitPoint> points;
-  points.reserve(sweep_end + 1);
-  for (std::size_t w = 0; w <= sweep_end; ++w) {
-    // O(w) prefix re-simulation per grid point: the cost the incremental
-    // kernel removes.
-    linalg::Vector x = x0;
-    for (std::size_t k = 0; k < w; ++k) x = sys.step(x, Mode::kEventTriggered);
-    const auto dwell = settle_under_reference(sys.a_tt(), x, sys.norm_dim(), opts.settling);
-    if (!dwell.has_value())
-      throw NumericalError("dwell/wait sweep: TT loop did not settle within the cap");
-    DwellWaitPoint p;
-    p.wait_steps = w;
-    p.dwell_steps = *dwell;
-    p.wait_s = static_cast<double>(w) * sampling_period;
-    p.dwell_s = static_cast<double>(*dwell) * sampling_period;
-    points.push_back(p);
   }
   return DwellWaitCurve(sampling_period, std::move(points));
 }

@@ -45,10 +45,6 @@ class DwellWaitCurve {
   /// k_p: (smallest) wait time at which the dwell is maximal [s].
   double k_p() const;
 
-  /// Measured dwell for a given wait expressed in steps.  Throws if the
-  /// wait exceeds the sweep range.
-  double dwell_at_steps(std::size_t wait_steps) const;
-
   /// Total response time wait + dwell for a measured point [s].
   double response_at(std::size_t index) const;
 
@@ -91,7 +87,8 @@ struct DwellWaitWorkspace {
 /// prefix from x0 per grid point), and the per-point TT settling runs on
 /// reusable buffers.  Both reuse the exact floating-point operation order
 /// of the naive kernel, so the curve is bit-identical to
-/// measure_dwell_wait_curve_reference for every input.
+/// measure_dwell_wait_curve_reference (oracles/reference.hpp) for every
+/// input.
 DwellWaitCurve measure_dwell_wait_curve(const SwitchedLinearSystem& sys,
                                         const linalg::Vector& x0, double sampling_period,
                                         const DwellWaitSweepOptions& opts);
@@ -103,15 +100,5 @@ DwellWaitCurve measure_dwell_wait_curve(const SwitchedLinearSystem& sys,
                                         const linalg::Vector& x0, double sampling_period,
                                         const DwellWaitSweepOptions& opts,
                                         DwellWaitWorkspace& workspace);
-
-/// The pre-optimization sweep kernel, frozen verbatim: re-simulates the
-/// ET prefix from x0 for every grid point through the naive vector code
-/// path.  Kept as the golden baseline for the bit-identity regression
-/// tests (tests/analysis_golden_test.cpp) and the speedup benches
-/// (bench/fig3_dwell_wait.cpp); not used by any experiment.
-DwellWaitCurve measure_dwell_wait_curve_reference(const SwitchedLinearSystem& sys,
-                                                  const linalg::Vector& x0,
-                                                  double sampling_period,
-                                                  const DwellWaitSweepOptions& opts);
 
 }  // namespace cps::sim

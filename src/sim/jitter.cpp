@@ -52,7 +52,8 @@ std::optional<std::size_t> JitteryClosedLoop::settle_under_random_delays(
 
   // Double-buffered inner loop: apply_into + swap evolve z with zero
   // per-step allocations, on buffers the caller may reuse across runs.
-  // Same delay draws and FP order as the frozen reference below —
+  // Same delay draws and FP order as the frozen
+  // settle_under_random_delays_reference (oracles/reference.hpp) —
   // settling steps are bit-identical (tests/sim_golden_test.cpp).
   linalg::Vector& z = workspace.state;
   linalg::Vector& scratch = workspace.scratch;
@@ -76,39 +77,6 @@ std::optional<std::size_t> JitteryClosedLoop::settle_under_random_delays(
         static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(loops_.size()) - 1));
     linalg::apply_into(loops_[pick], z, scratch);
     z.swap(scratch);
-  }
-  return std::nullopt;
-}
-
-std::optional<std::size_t> JitteryClosedLoop::settle_under_random_delays_reference(
-    const linalg::Vector& z0, double threshold, Rng& rng, std::size_t max_steps) const {
-  // Frozen pre-optimization kernel: one Vector temporary per step through
-  // step()/operator*.  Kept verbatim as the golden baseline.
-  CPS_ENSURE(z0.size() == loops_.front().rows(), "settle: z0 dimension mismatch");
-  CPS_ENSURE(threshold > 0.0, "settle: threshold must be positive");
-
-  auto norm_of = [&](const linalg::Vector& z) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < n_; ++i) acc += z[i] * z[i];
-    return std::sqrt(acc);
-  };
-
-  linalg::Vector z = z0;
-  std::size_t last_violation = 0;
-  bool ever_violated = false;
-  const double stop_level = threshold * 1e-3;
-  for (std::size_t k = 0; k <= max_steps; ++k) {
-    const double norm = norm_of(z);
-    if (!std::isfinite(norm)) return std::nullopt;
-    if (norm > threshold) {
-      last_violation = k;
-      ever_violated = true;
-    } else if (norm <= stop_level) {
-      return ever_violated ? last_violation + 1 : 0;
-    }
-    const std::size_t pick =
-        static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(loops_.size()) - 1));
-    z = step(z, pick);
   }
   return std::nullopt;
 }

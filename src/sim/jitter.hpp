@@ -73,14 +73,6 @@ class JitteryClosedLoop {
                                                         std::size_t max_steps,
                                                         JitterWorkspace& workspace) const;
 
-  /// Frozen pre-optimization copy of settle_under_random_delays() (one
-  /// Vector temporary per step).  Draws the same delay sequence from `rng`
-  /// and returns a bit-identical settling step — the golden baseline of
-  /// tests/sim_golden_test.cpp.
-  std::optional<std::size_t> settle_under_random_delays_reference(
-      const linalg::Vector& z0, double threshold, Rng& rng,
-      std::size_t max_steps = kDefaultJitterMaxSteps) const;
-
  private:
   std::size_t n_;
   std::vector<linalg::Matrix> loops_;  // closed-loop matrix per delay

@@ -57,8 +57,8 @@ Trajectory SwitchedLinearSystem::simulate(const linalg::Vector& x0, std::size_t 
   // inside the storage reserved above (no temporary + move; inline Vector
   // payload, so the state copy is heap-free too).  The matvec and the
   // threshold norm run the same FP operations in the same order as the
-  // reference kernel below — trajectories are bit-identical
-  // (tests/sim_golden_test.cpp).
+  // frozen simulate_reference (oracles/reference.hpp) — trajectories are
+  // bit-identical (tests/sim_golden_test.cpp).
   const std::size_t dim = dimension();
   linalg::Vector xbuf = x0;
   linalg::Vector sbuf(dim);
@@ -164,26 +164,6 @@ std::vector<Trajectory> SwitchedLinearSystem::simulate_batch(
   for (std::size_t l = 0; l < count; ++l)
     out.emplace_back(sampling_period, std::move(samples[l]));
   return out;
-}
-
-Trajectory SwitchedLinearSystem::simulate_reference(const linalg::Vector& x0,
-                                                    std::size_t switch_step,
-                                                    std::size_t total_steps,
-                                                    double sampling_period) const {
-  // Frozen pre-optimization kernel: one full Vector temporary per step
-  // through step()/operator*.  Kept verbatim as the golden baseline.
-  CPS_ENSURE(x0.size() == dimension(), "simulate: x0 dimension mismatch");
-  std::vector<Sample> samples;
-  samples.reserve(total_steps + 1);
-
-  linalg::Vector x = x0;
-  for (std::size_t k = 0; k <= total_steps; ++k) {
-    const Mode mode = k < switch_step ? Mode::kEventTriggered : Mode::kTimeTriggered;
-    samples.push_back(Sample{x, threshold_norm(x), mode});
-    if (k == total_steps) break;
-    x = step(x, mode);
-  }
-  return Trajectory(sampling_period, std::move(samples));
 }
 
 }  // namespace cps::sim

@@ -101,12 +101,6 @@ class SwitchedLinearSystem {
   Trajectory simulate(const linalg::Vector& x0, std::size_t switch_step,
                       std::size_t total_steps, double sampling_period) const;
 
-  /// Frozen pre-optimization copy of simulate() (one Vector temporary per
-  /// step); bit-identical to simulate() — the golden baseline of
-  /// tests/sim_golden_test.cpp.
-  Trajectory simulate_reference(const linalg::Vector& x0, std::size_t switch_step,
-                                std::size_t total_steps, double sampling_period) const;
-
   /// Simulate `count` trajectories (1 <= count <= linalg::kSimdWidth) of
   /// this system in SIMD lockstep: all share switch_step / total_steps /
   /// sampling_period, lane l starts from x0s[l].  The per-step update is

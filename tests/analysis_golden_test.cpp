@@ -1,7 +1,7 @@
 // Golden-output regression tests for the PR-2 hot-path optimizations.
 //
-// Both optimized kernels ship next to their frozen pre-optimization
-// implementations (measure_dwell_wait_curve_reference,
+// Both optimized kernels have frozen pre-optimization implementations in
+// oracles/reference.hpp (measure_dwell_wait_curve_reference,
 // optimal_allocate_reference); these tests assert bit-identical results —
 // exact integer step counts, exact double bit patterns, exact partitions —
 // on the seed fixtures (servo motor, synthesized Table I fleet, published
@@ -18,6 +18,7 @@
 #include "experiments/fixtures.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
+#include "oracles/reference.hpp"
 #include "plants/servo_motor.hpp"
 #include "plants/table1.hpp"
 #include "sim/dwell_wait.hpp"

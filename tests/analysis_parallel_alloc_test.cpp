@@ -18,6 +18,7 @@
 #include "analysis/dwell_wait_model.hpp"
 #include "analysis/slot_allocation.hpp"
 #include "experiments/fixtures.hpp"
+#include "oracles/reference.hpp"
 #include "runtime/sweep_runner.hpp"
 #include "util/rng.hpp"
 
@@ -72,7 +73,7 @@ TEST(ParallelAllocTest, OptimumInvariantUnderInputPermutations) {
 }
 
 TEST(ParallelAllocTest, AllocationIdenticalAtEveryJobCount) {
-  // The ParallelSearch determinism contract: byte-identical Allocation
+  // The parallel exact search's determinism contract: byte-identical Allocation
   // for exact_jobs in {1, 2, 4, 8}, including on instances large enough
   // that the fan-out actually runs (n >= 14) — the same shared proving
   // instances the sweep_alloc_parallel experiment and the

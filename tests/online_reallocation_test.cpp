@@ -15,6 +15,7 @@
 #include "analysis/slot_allocation.hpp"
 #include "online/reallocation.hpp"
 #include "online/scenario.hpp"
+#include "oracles/reference.hpp"
 #include "plants/fleet_synthesis.hpp"
 
 namespace {

@@ -136,6 +136,16 @@ TEST(CampaignSpecTest, DigestIgnoresKeyOrderCommentsAndFormatting) {
   EXPECT_EQ(a.digest_hex().size(), 16u);
 }
 
+// cps_run prints the digest as a campaign's identity, so the committed
+// specs' values are frozen.
+TEST(CampaignSpecTest, CommittedSpecDigestsArePinned) {
+  const std::string dir = std::string(CPS_REPO_DIR) + "/examples/specs/";
+  EXPECT_EQ(load_campaign_spec(dir + "acceptance_ratio_small.toml").digest_hex(),
+            "f06572277427c5c4");
+  EXPECT_EQ(load_campaign_spec(dir + "acceptance_ratio_families.toml").digest_hex(),
+            "4f183e608da6bd6d");
+}
+
 TEST(CampaignSpecTest, DigestChangesWhenAnyValueChanges) {
   const auto base = spec_from(kValidSpec);
   std::string tweaked = kValidSpec;

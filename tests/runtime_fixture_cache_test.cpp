@@ -14,9 +14,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -32,6 +34,7 @@ namespace {
 
 using cps::runtime::FixtureCache;
 using cps::runtime::FixtureCodec;
+using cps::runtime::FixtureHandle;
 using cps::runtime::FixtureKey;
 using cps::runtime::FixtureStore;
 
@@ -61,6 +64,15 @@ TEST(FixtureKeyTest, StableAndContentSensitive) {
   EXPECT_NE(ab_c.str(), a_bc.str());
 }
 
+// Rendered keys name the fixture-store files, so the exact bytes are
+// frozen: a drift in the hash, the field encoding or the hex rendering
+// would orphan every store written before it.
+TEST(FixtureKeyTest, RenderedKeyIsPinned) {
+  FixtureKey key("fixture_key");
+  key.add(1.5).add(std::uint64_t{7}).add(std::string_view("abc"));
+  EXPECT_EQ(key.str(), "fixture_key/ce8fe68341f3eaac");
+}
+
 TEST(FixtureKeyTest, MatrixAndVectorIncludeShape) {
   cps::linalg::Matrix m12(1, 2, 3.0);
   cps::linalg::Matrix m21(2, 1, 3.0);
@@ -79,14 +91,18 @@ TEST(FixtureCacheTest, HitReturnsTheSameObject) {
   auto& cache = FixtureCache::instance();
   const auto before = cache.stats();
   int computes = 0;
-  auto first = cache.get_or_compute<std::string>("test/hit-object", [&] {
-    ++computes;
-    return std::string("payload");
-  });
-  auto second = cache.get_or_compute<std::string>("test/hit-object", [&] {
-    ++computes;
-    return std::string("payload");
-  });
+  auto first = FixtureHandle<std::string>("test/hit-object").get(
+      [&] {
+        ++computes;
+        return std::string("payload");
+      },
+      cache);
+  auto second = FixtureHandle<std::string>("test/hit-object").get(
+      [&] {
+        ++computes;
+        return std::string("payload");
+      },
+      cache);
   EXPECT_EQ(computes, 1);
   EXPECT_EQ(first.get(), second.get());  // shared, not equal-but-copied
   const auto after = cache.stats();
@@ -106,11 +122,13 @@ TEST(FixtureCacheTest, ComputesOnceUnderConcurrency) {
     futures.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
       futures.push_back(pool.submit([&cache, &computes, &results, t] {
-        results[t] = cache.get_or_compute<int>("test/concurrent", [&computes] {
-          ++computes;
-          std::this_thread::sleep_for(std::chrono::milliseconds(20));  // widen the race
-          return 1234;
-        });
+        results[t] = FixtureHandle<int>("test/concurrent").get(
+            [&computes] {
+              ++computes;
+              std::this_thread::sleep_for(std::chrono::milliseconds(20));  // widen the race
+              return 1234;
+            },
+            cache);
       }));
     }
     for (auto& f : futures) f.get();
@@ -125,18 +143,17 @@ TEST(FixtureCacheTest, ComputesOnceUnderConcurrency) {
 
 TEST(FixtureCacheTest, TypeMismatchThrows) {
   auto& cache = FixtureCache::instance();
-  cache.get_or_compute<int>("test/typed", [] { return 1; });
-  EXPECT_THROW(cache.get_or_compute<double>("test/typed", [] { return 2.0; }), cps::Error);
+  FixtureHandle<int>("test/typed").get([] { return 1; }, cache);
+  EXPECT_THROW(FixtureHandle<double>("test/typed").get([] { return 2.0; }, cache), cps::Error);
 }
 
 TEST(FixtureCacheTest, FailedComputeReleasesTheKey) {
   auto& cache = FixtureCache::instance();
-  EXPECT_THROW(cache.get_or_compute<int>(
-                   "test/failing",
-                   []() -> int { throw std::runtime_error("fixture exploded"); }),
+  EXPECT_THROW(FixtureHandle<int>("test/failing")
+                   .get([]() -> int { throw std::runtime_error("fixture exploded"); }, cache),
                std::runtime_error);
   // The key must be retryable after a failure.
-  auto value = cache.get_or_compute<int>("test/failing", [] { return 7; });
+  auto value = FixtureHandle<int>("test/failing").get([] { return 7; }, cache);
   EXPECT_EQ(*value, 7);
 }
 
@@ -145,8 +162,8 @@ TEST(FixtureCacheTest, DistinctKeysDistinctValues) {
   FixtureKey a("test/param"), b("test/param");
   a.add(1.0);
   b.add(2.0);
-  auto va = cache.get_or_compute<double>(a, [] { return 1.0; });
-  auto vb = cache.get_or_compute<double>(b, [] { return 2.0; });
+  auto va = FixtureHandle<double>(a).get([] { return 1.0; }, cache);
+  auto vb = FixtureHandle<double>(b).get([] { return 2.0; }, cache);
   EXPECT_NE(va.get(), vb.get());
   EXPECT_EQ(*va, 1.0);
   EXPECT_EQ(*vb, 2.0);
@@ -186,6 +203,21 @@ std::uint64_t bits_of(double value) {
   return bits;
 }
 
+// The checksum trailer is part of the on-disk format: stores written by
+// earlier builds must keep verifying.
+TEST(FixtureStoreTest, ChecksumTrailerIsPinned) {
+  TempStoreDir dir;
+  const FixtureStore store(dir.path);
+  const std::string key = "pin/0123456789abcdef";
+  store.save(key, "pin/v1", "material", "payload");
+  std::ifstream in(store.path_of(key), std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  ASSERT_GT(bytes.size(), 8u);
+  cps::util::BinaryReader trailer(std::string_view(bytes).substr(bytes.size() - 8));
+  EXPECT_EQ(trailer.read_u64(), 0x982f2fa3a4775c31ULL);
+}
+
 TEST(FixtureStoreTest, ColdMissComputesAndWritesTheFile) {
   TempStoreDir dir;
   FixtureCache cache;
@@ -194,10 +226,12 @@ TEST(FixtureStoreTest, ColdMissComputesAndWritesTheFile) {
   FixtureKey key("store_cold");
   key.add(1.25);
   int computes = 0;
-  auto value = cache.get_or_compute<double>(key, double_codec(), [&] {
-    ++computes;
-    return 0.1 + 0.2;  // not exactly 0.3: the bits must survive as-is
-  });
+  auto value = FixtureHandle<double>(key).with_codec(double_codec()).get(
+      [&] {
+        ++computes;
+        return 0.1 + 0.2;  // not exactly 0.3: the bits must survive as-is
+      },
+      cache);
   EXPECT_EQ(computes, 1);
   EXPECT_EQ(*value, 0.1 + 0.2);
 
@@ -218,7 +252,8 @@ TEST(FixtureStoreTest, WarmHitSkipsComputeAndIsBitIdentical) {
   {
     FixtureCache first_process;
     first_process.set_store(std::make_shared<FixtureStore>(dir.path));
-    first_process.get_or_compute<double>(key, double_codec(), [&] { return expected; });
+    FixtureHandle<double>(key).with_codec(double_codec()).get([&] { return expected; },
+                                                              first_process);
   }
 
   // A fresh cache instance models the next process of the campaign: its
@@ -226,10 +261,12 @@ TEST(FixtureStoreTest, WarmHitSkipsComputeAndIsBitIdentical) {
   // running compute, and with the exact bit pattern.
   FixtureCache second_process;
   second_process.set_store(std::make_shared<FixtureStore>(dir.path));
-  auto value = second_process.get_or_compute<double>(key, double_codec(), [&]() -> double {
-    ADD_FAILURE() << "warm store hit must not recompute";
-    return 0.0;
-  });
+  auto value = FixtureHandle<double>(key).with_codec(double_codec()).get(
+      [&]() -> double {
+        ADD_FAILURE() << "warm store hit must not recompute";
+        return 0.0;
+      },
+      second_process);
   EXPECT_EQ(bits_of(*value), bits_of(expected));
   const auto stats = second_process.store()->stats();
   EXPECT_EQ(stats.disk_hits, 1u);
@@ -244,7 +281,7 @@ TEST(FixtureStoreTest, CorruptedFileRecomputesLoudlyAndHeals) {
   {
     FixtureCache writer;
     writer.set_store(std::make_shared<FixtureStore>(dir.path));
-    writer.get_or_compute<double>(key, double_codec(), [] { return 42.0; });
+    FixtureHandle<double>(key).with_codec(double_codec()).get([] { return 42.0; }, writer);
   }
 
   // Flip a payload byte mid-file: the checksum must reject it.
@@ -259,10 +296,12 @@ TEST(FixtureStoreTest, CorruptedFileRecomputesLoudlyAndHeals) {
   FixtureCache reader;
   reader.set_store(std::make_shared<FixtureStore>(dir.path));
   int computes = 0;
-  auto value = reader.get_or_compute<double>(key, double_codec(), [&] {
-    ++computes;
-    return 42.0;
-  });
+  auto value = FixtureHandle<double>(key).with_codec(double_codec()).get(
+      [&] {
+        ++computes;
+        return 42.0;
+      },
+      reader);
   EXPECT_EQ(computes, 1) << "corrupt file must fall back to compute";
   EXPECT_EQ(*value, 42.0);
   auto stats = reader.store()->stats();
@@ -272,10 +311,12 @@ TEST(FixtureStoreTest, CorruptedFileRecomputesLoudlyAndHeals) {
   // The rewritten file serves the next process again.
   FixtureCache healed;
   healed.set_store(std::make_shared<FixtureStore>(dir.path));
-  auto again = healed.get_or_compute<double>(key, double_codec(), [&]() -> double {
-    ADD_FAILURE() << "healed store must hit";
-    return 0.0;
-  });
+  auto again = FixtureHandle<double>(key).with_codec(double_codec()).get(
+      [&]() -> double {
+        ADD_FAILURE() << "healed store must hit";
+        return 0.0;
+      },
+      healed);
   EXPECT_EQ(*again, 42.0);
 }
 
@@ -286,7 +327,7 @@ TEST(FixtureStoreTest, TruncatedFileRecomputes) {
   {
     FixtureCache writer;
     writer.set_store(std::make_shared<FixtureStore>(dir.path));
-    writer.get_or_compute<double>(key, double_codec(), [] { return 7.0; });
+    FixtureHandle<double>(key).with_codec(double_codec()).get([] { return 7.0; }, writer);
   }
   const std::string path = FixtureStore(dir.path).path_of(key.str());
   std::filesystem::resize_file(path, 10);  // shorter than the magic + trailer
@@ -294,10 +335,12 @@ TEST(FixtureStoreTest, TruncatedFileRecomputes) {
   FixtureCache reader;
   reader.set_store(std::make_shared<FixtureStore>(dir.path));
   int computes = 0;
-  auto value = reader.get_or_compute<double>(key, double_codec(), [&] {
-    ++computes;
-    return 7.0;
-  });
+  auto value = FixtureHandle<double>(key).with_codec(double_codec()).get(
+      [&] {
+        ++computes;
+        return 7.0;
+      },
+      reader);
   EXPECT_EQ(computes, 1);
   EXPECT_EQ(*value, 7.0);
   EXPECT_EQ(reader.store()->stats().invalid, 1u);
@@ -343,10 +386,12 @@ TEST(FixtureStoreTest, UndecodablePayloadRecomputes) {
   FixtureCache cache;
   cache.set_store(std::make_shared<FixtureStore>(dir.path));
   int computes = 0;
-  auto value = cache.get_or_compute<double>(key, double_codec(), [&] {
-    ++computes;
-    return 11.0;
-  });
+  auto value = FixtureHandle<double>(key).with_codec(double_codec()).get(
+      [&] {
+        ++computes;
+        return 11.0;
+      },
+      cache);
   EXPECT_EQ(computes, 1);
   EXPECT_EQ(*value, 11.0);
   // The load was reclassified: a payload the codec rejected was never a
@@ -365,11 +410,11 @@ TEST(FixtureStoreTest, UsageReportsPerDomainFilesAndBytes) {
   for (int i = 0; i < 3; ++i) {
     FixtureKey key("usage_domain_a");
     key.add(static_cast<double>(i));
-    cache.get_or_compute<double>(key, double_codec(), [&] { return i * 1.5; });
+    FixtureHandle<double>(key).with_codec(double_codec()).get([&] { return i * 1.5; }, cache);
   }
   FixtureKey key_b("usage_domain_b");
   key_b.add(9.0);
-  cache.get_or_compute<double>(key_b, double_codec(), [&] { return 9.0; });
+  FixtureHandle<double>(key_b).with_codec(double_codec()).get([&] { return 9.0; }, cache);
 
   const auto usage = cache.store()->usage();
   ASSERT_EQ(usage.size(), 2u);  // sorted by domain name
@@ -391,7 +436,8 @@ TEST(FixtureStoreTest, GcEvictsLeastRecentlyUsedFirstUntilUnderCap) {
     for (int i = 0; i < 4; ++i) {
       FixtureKey key("gc_domain");
       key.add(static_cast<double>(i));
-      writer.get_or_compute<double>(key, double_codec(), [&] { return i * 2.0; });
+      FixtureHandle<double>(key).with_codec(double_codec()).get([&] { return i * 2.0; },
+                                                                writer);
       paths.push_back(writer.store()->path_of(key.str()));
     }
     file_bytes = std::filesystem::file_size(paths[0]);
@@ -428,7 +474,7 @@ TEST(FixtureStoreTest, GcNeverEvictsFilesTouchedByTheCurrentRun) {
   cache.set_store(std::make_shared<FixtureStore>(dir.path));
   FixtureKey key("gc_inuse");
   key.add(1.0);
-  cache.get_or_compute<double>(key, double_codec(), [&] { return 1.0; });
+  FixtureHandle<double>(key).with_codec(double_codec()).get([&] { return 1.0; }, cache);
   const std::string path = cache.store()->path_of(key.str());
 
   // Cap 0 would evict everything — but this process wrote the file, so
@@ -443,10 +489,12 @@ TEST(FixtureStoreTest, GcNeverEvictsFilesTouchedByTheCurrentRun) {
   // over a fresh store instance loads the file, then gc spares it.
   FixtureCache reader;
   reader.set_store(std::make_shared<FixtureStore>(dir.path));
-  reader.get_or_compute<double>(key, double_codec(), [&]() -> double {
-    ADD_FAILURE() << "warm hit expected";
-    return 0.0;
-  });
+  FixtureHandle<double>(key).with_codec(double_codec()).get(
+      [&]() -> double {
+        ADD_FAILURE() << "warm hit expected";
+        return 0.0;
+      },
+      reader);
   const auto gc2 = reader.store()->gc_to_max_bytes(0);
   EXPECT_EQ(gc2.evicted, 0u);
   EXPECT_EQ(gc2.kept_in_use, 1u);
@@ -456,14 +504,16 @@ TEST(FixtureStoreTest, GcNeverEvictsFilesTouchedByTheCurrentRun) {
 TEST(FixtureCacheTest, ClearEmptiesEntries) {
   // Separate cache instance semantics are global; clear() then repopulate.
   auto& cache = FixtureCache::instance();
-  cache.get_or_compute<int>("test/clear-me", [] { return 1; });
+  FixtureHandle<int>("test/clear-me").get([] { return 1; }, cache);
   cache.clear();
   EXPECT_EQ(cache.stats().entries, 0u);
   int computes = 0;
-  cache.get_or_compute<int>("test/clear-me", [&] {
-    ++computes;
-    return 1;
-  });
+  FixtureHandle<int>("test/clear-me").get(
+      [&] {
+        ++computes;
+        return 1;
+      },
+      cache);
   EXPECT_EQ(computes, 1);
 }
 

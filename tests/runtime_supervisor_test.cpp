@@ -305,6 +305,17 @@ TEST_F(SupervisorFixture, ManifestNamesMissingShardsAndExactIndexRanges) {
   EXPECT_NE(manifest.find("\"missing_index_ranges\": [[2, 4]]"), std::string::npos)
       << manifest;
   EXPECT_NE(manifest.find("\"status\": \"failed\""), std::string::npos) << manifest;
+  EXPECT_NE(manifest.find("\"campaign_seed\": \"0x0000000000005eed\""), std::string::npos)
+      << manifest;
+}
+
+TEST_F(SupervisorFixture, ManifestPublishFailureThrowsAndLeavesNoTempFile) {
+  // A directory in the manifest's place makes the final rename fail.
+  std::filesystem::create_directories(dir + "/campaign_manifest.json");
+  EXPECT_THROW(write_campaign_manifest(dir, SupervisorReport{}, 0x5EED, {}, {}), cps::Error);
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    EXPECT_EQ(entry.path().filename().string().find(".tmp."), std::string::npos)
+        << entry.path();
 }
 
 TEST_F(SupervisorFixture, ManifestMarksAnUnknownTailAsOpenEnded) {

@@ -1,5 +1,6 @@
 // Unit tests for the runtime layer: work-stealing ThreadPool semantics
 // (results, ordering, exception propagation, destructor draining), the
+// ordered parallel_map fan-out and the SharedIncumbent bound, the
 // deterministic per-task seeding of SweepRunner (any job count, chunk
 // size, and shard partition must be bit-identical to the serial run),
 // the shard partition/merge machinery, and the experiment registry
@@ -248,20 +249,20 @@ TEST(SharedIncumbentTest, ImproveIsAMonotoneMinimum) {
   EXPECT_EQ(incumbent.load(), 2u);
 }
 
-TEST(ParallelSearchTest, MapReturnsResultsInTaskIndexOrder) {
-  ParallelSearch search({4});
-  const auto results = search.map(23, [](std::size_t i) { return i * i; });
-  ASSERT_EQ(results.size(), 23u);
-  for (std::size_t i = 0; i < results.size(); ++i) EXPECT_EQ(results[i], i * i);
+TEST(ParallelMapTest, ReturnsResultsInTaskIndexOrder) {
+  for (const int jobs : {1, 4}) {
+    const auto results = parallel_map(jobs, 23, [](std::size_t i) { return i * i; });
+    ASSERT_EQ(results.size(), 23u);
+    for (std::size_t i = 0; i < results.size(); ++i) EXPECT_EQ(results[i], i * i);
+  }
 }
 
-TEST(ParallelSearchTest, SharedIncumbentReachesTheGlobalMinimumAtAnyJobCount) {
+TEST(ParallelMapTest, SharedIncumbentReachesTheGlobalMinimumAtAnyJobCount) {
   // Tasks race to lower the incumbent; the final minimum must be the
   // true minimum regardless of the worker count or schedule.
   for (const int jobs : {1, 2, 8}) {
     SharedIncumbent incumbent(1000);
-    ParallelSearch search({jobs});
-    search.map(64, [&](std::size_t i) {
+    parallel_map(jobs, 64, [&](std::size_t i) {
       incumbent.improve(900 - (i * 13) % 700);
       return 0;
     });
@@ -272,14 +273,15 @@ TEST(ParallelSearchTest, SharedIncumbentReachesTheGlobalMinimumAtAnyJobCount) {
   }
 }
 
-TEST(ParallelSearchTest, MapPropagatesTaskExceptions) {
-  ParallelSearch search({2});
-  EXPECT_THROW(search.map(16,
-                          [](std::size_t i) -> int {
-                            if (i == 11) throw std::runtime_error("subtree boom");
-                            return 0;
-                          }),
-               std::runtime_error);
+TEST(ParallelMapTest, PropagatesTaskExceptions) {
+  for (const int jobs : {1, 2}) {
+    EXPECT_THROW(parallel_map(jobs, 16,
+                              [](std::size_t i) -> int {
+                                if (i == 11) throw std::runtime_error("subtree boom");
+                                return 0;
+                              }),
+                 std::runtime_error);
+  }
 }
 
 TEST(ExperimentRegistryTest, RegistersFindsAndRejectsDuplicates) {

@@ -432,4 +432,17 @@ TEST(ServeServerTest, StatsReportTheLifecycleCounters) {
   EXPECT_TRUE(saw_admitted);
 }
 
+TEST(ServeServerTest, UnwritableReadyFileIsReportedAndServingContinues) {
+  // A script waiting for the ready file would wait forever, so the failed
+  // write must be loud; the server keeps serving (its workers are up).
+  ServeOptions options;
+  options.ready_file = "/tmp/cps_srv_missing_" + std::to_string(::getpid()) + "/ready";
+  testing::internal::CaptureStderr();
+  TestServer daemon{options};
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("ready file"), std::string::npos) << err;
+  auto client = daemon.connect();
+  EXPECT_TRUE(client.call(Opcode::kPing, encode_ping("still-up", 0)).ok());
+}
+
 }  // namespace

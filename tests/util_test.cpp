@@ -1,5 +1,5 @@
 // Unit tests for the util module: error contracts, formatting, tables,
-// CSV output and the deterministic RNG.
+// CSV output, the deterministic RNG and the FNV-1a 64 hash.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,6 +9,7 @@
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -157,6 +158,15 @@ TEST(RngTest, InvalidRangesThrow) {
   EXPECT_THROW(rng.uniform_int(3, 2), InvalidArgument);
   EXPECT_THROW(rng.gaussian(0.0, -1.0), InvalidArgument);
   EXPECT_THROW(rng.bernoulli(1.5), InvalidArgument);
+}
+
+// Fixture keys, store checksums, spec digests and daemon fingerprints
+// are all this hash: its values are frozen.
+TEST(HashTest, Fnv1a64MatchesPinnedValues) {
+  EXPECT_EQ(util::hex64(util::fnv1a64("")), "cbf29ce484222325");
+  EXPECT_EQ(util::hex64(util::fnv1a64("a")), "af63dc4c8601ec8c");
+  EXPECT_EQ(util::hex64(util::fnv1a64("foobar")), "85944171f73967e8");
+  EXPECT_EQ(util::hex64(0x2a), "000000000000002a");
 }
 
 }  // namespace

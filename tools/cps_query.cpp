@@ -2,7 +2,7 @@
 //
 //   cps_query [options] <op>      op: ping|curve|design|alloc|sched|stats
 //
-// Single-shot mode prints the decoded response fields plus an fnv64
+// Single-shot mode prints the decoded response fields plus the FNV-1a 64
 // digest of the raw payload bytes; `--local` runs the IDENTICAL query
 // dispatcher in-process instead of over the socket and prints the same
 // lines, so `cmp <(cps_query --socket S op) <(cps_query --local op)`
@@ -38,6 +38,7 @@
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/queries.hpp"
+#include "util/hash.hpp"
 
 namespace {
 
@@ -53,13 +54,8 @@ double parse_cli_double(const std::string& text, const std::string& what) {
   return value;
 }
 
-std::uint64_t fnv64(const std::string& bytes) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const unsigned char c : bytes) {
-    hash ^= c;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
+void print_fingerprint(const std::string& payload) {
+  std::printf("payload_fnv64 %s\n", cps::util::hex64(cps::util::fnv1a64(payload)).c_str());
 }
 
 struct QuerySpec {
@@ -73,8 +69,7 @@ void print_reply(Opcode opcode, Status status, const std::string& payload) {
   std::printf("status %s\n", cps::serve::status_name(status));
   if (status != Status::kOk) {
     std::printf("message %s\n", cps::serve::decode_error_payload(payload).c_str());
-    std::printf("payload_fnv64 %016llx\n",
-                static_cast<unsigned long long>(fnv64(payload)));
+    print_fingerprint(payload);
     return;
   }
   cps::util::BinaryReader in(payload);
@@ -134,7 +129,7 @@ void print_reply(Opcode opcode, Status status, const std::string& payload) {
       break;
     }
   }
-  std::printf("payload_fnv64 %016llx\n", static_cast<unsigned long long>(fnv64(payload)));
+  print_fingerprint(payload);
 }
 
 }  // namespace
