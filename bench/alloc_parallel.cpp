@@ -8,10 +8,8 @@
 // row is the honest single-core baseline; the others measure real
 // threads, so their speedup is bounded by the host's free cores.
 //
-// Emits Google-Benchmark-compatible JSON on stdout (the fields
-// bench_compare.py reads, including the library_build_type the debug-
-// snapshot gate checks).  Each measurement repeats kIterations times and
-// reports the minimum.
+// Emits Google-Benchmark-compatible JSON on stdout (bench/self_json.hpp).
+// Each measurement repeats kIterations times and reports the minimum.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -21,8 +19,8 @@
 #include <vector>
 
 #include "analysis/slot_allocation.hpp"
-#include "linalg/simd_batch.hpp"
 #include "experiments/fixtures.hpp"
+#include "self_json.hpp"
 
 namespace {
 
@@ -38,18 +36,6 @@ constexpr int kMinBenchedN = 18;
 
 constexpr int kJobSweep[] = {1, 2, 4, 8};
 
-struct Result {
-  std::string name;
-  double seconds = 0.0;
-};
-
-std::vector<Result> g_results;
-
-void record(const std::string& name, double seconds) {
-  std::fprintf(stderr, "  %-44s %10.2f ms\n", name.c_str(), seconds * 1e3);
-  g_results.push_back(Result{name, seconds});
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -57,6 +43,7 @@ int main(int argc, char** argv) {
   // this bench always writes its JSON to stdout.
   (void)argc;
   (void)argv;
+  cps::bench::SelfJson report("alloc_parallel");
 
   for (const auto& inst : experiments::alloc_proving_instances()) {
     if (inst.n < kMinBenchedN) continue;
@@ -85,31 +72,11 @@ int main(int argc, char** argv) {
     const std::string prefix = "alloc_parallel_n" + std::to_string(inst.n);
     std::fprintf(stderr, "n=%d: optimum %zu slots\n", inst.n, reference.slot_count());
     for (std::size_t j = 0; j < std::size(kJobSweep); ++j)
-      record(prefix + "_optimal_j" + std::to_string(kJobSweep[j]), wall[j]);
+      report.record(prefix + "_optimal_j" + std::to_string(kJobSweep[j]), wall[j]);
     std::fprintf(stderr, "  j8-vs-j1 threaded speedup: %.2fx\n\n",
                  wall[0] / wall[std::size(kJobSweep) - 1]);
   }
 
-#ifdef NDEBUG
-  const char* build_type = "release";
-#else
-  const char* build_type = "debug";
-#endif
-  // Google-Benchmark-compatible JSON (the fields bench_compare.py reads;
-  // this binary links no benchmark harness, so both build-type fields
-  // mean the project library).
-  std::printf("{\n  \"context\": {\"executable\": \"alloc_parallel\", "
-              "\"library_build_type\": \"%s\", \"cps_library_build_type\": \"%s\", "
-              "\"cps_simd_width\": \"%zu\", \"cps_simd_isa\": \"%s\"},\n",
-              build_type, build_type, cps::linalg::kSimdWidth,
-              cps::linalg::simd_isa_name());
-  std::printf("  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < g_results.size(); ++i) {
-    std::printf("    {\"name\": \"%s\", \"run_type\": \"iteration\", "
-                "\"real_time\": %.3f, \"cpu_time\": %.3f, \"time_unit\": \"ms\"}%s\n",
-                g_results[i].name.c_str(), g_results[i].seconds * 1e3,
-                g_results[i].seconds * 1e3, i + 1 < g_results.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
+  report.print();
   return 0;
 }

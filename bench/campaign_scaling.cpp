@@ -6,8 +6,9 @@
 // fixture store saves a cold process, and how a sweep campaign's
 // wall-clock splits across `--shard i/N` workers.  This bench therefore
 // forks the actual cps_run binary and times it, then emits
-// Google-Benchmark-compatible JSON on stdout so bench_compare.py and the
-// committed snapshots treat it like every other bench.
+// Google-Benchmark-compatible JSON on stdout (bench/self_json.hpp) so
+// bench_compare.py and the committed snapshots treat it like every other
+// bench.
 //
 // Measurements:
 //  * campaign_fixtures_{cold,warm}_store — a fixture-dominated campaign
@@ -43,7 +44,7 @@
 #include <string>
 #include <vector>
 
-#include "linalg/simd_batch.hpp"
+#include "self_json.hpp"
 
 namespace {
 
@@ -103,18 +104,6 @@ void reset_dir(const std::string& path) {
   std::filesystem::create_directories(path);
 }
 
-struct Result {
-  std::string name;
-  double seconds = 0.0;
-};
-
-std::vector<Result> g_results;
-
-void record(const std::string& name, double seconds) {
-  std::fprintf(stderr, "  %-44s %8.1f ms\n", name.c_str(), seconds * 1e3);
-  g_results.push_back(Result{name, seconds});
-}
-
 /// The fixture-dominated campaign: everything it does flows through the
 /// FixtureCache (fleet synthesis, hybrid designs, dwell/wait curves).
 const std::vector<std::string> kFixtureCampaign = {"fig3", "fig4", "fig5", "table1",
@@ -157,6 +146,7 @@ double sharded_critical_path(std::size_t shards, const std::string& store,
 }  // namespace
 
 int main(int argc, char** argv) {
+  cps::bench::SelfJson report("campaign_scaling");
   // Default the driver path to ../tools/cps_run next to this binary so
   // `./build/bench/campaign_scaling` just works; --cps-run overrides.
   std::filesystem::path self(argv[0]);
@@ -205,38 +195,18 @@ int main(int argc, char** argv) {
   }
 
   std::fprintf(stderr, "\nbest of %d iterations:\n", kIterations);
-  record("campaign_fixtures_cold_store", fixtures_cold);
-  record("campaign_fixtures_warm_store", fixtures_warm);
-  record("campaign_flexray_cold_store", flexray_cold);
-  record("campaign_flexray_warm_store", flexray_warm);
-  record("campaign_flexray_shard2_critical_path", shard2);
-  record("campaign_flexray_shard4_critical_path", shard4);
+  report.record("campaign_fixtures_cold_store", fixtures_cold);
+  report.record("campaign_fixtures_warm_store", fixtures_warm);
+  report.record("campaign_flexray_cold_store", flexray_cold);
+  report.record("campaign_flexray_warm_store", flexray_warm);
+  report.record("campaign_flexray_shard2_critical_path", shard2);
+  report.record("campaign_flexray_shard4_critical_path", shard4);
   std::fprintf(stderr,
                "\nwarm-store speedup (fixture campaign): %.2fx\n"
                "2-shard campaign speedup (critical path): %.2fx\n"
                "4-shard campaign speedup (critical path): %.2fx\n",
                fixtures_cold / fixtures_warm, flexray_warm / shard2, flexray_warm / shard4);
 
-#ifdef NDEBUG
-  const char* build_type = "release";
-#else
-  const char* build_type = "debug";
-#endif
-  // Google-Benchmark-compatible JSON (the fields bench_compare.py reads,
-  // including the build-type fields the debug-snapshot gate checks; this
-  // binary links no benchmark harness, so both fields mean the project).
-  std::printf("{\n  \"context\": {\"executable\": \"campaign_scaling\", "
-              "\"library_build_type\": \"%s\", \"cps_library_build_type\": \"%s\", "
-              "\"cps_simd_width\": \"%zu\", \"cps_simd_isa\": \"%s\"},\n",
-              build_type, build_type, cps::linalg::kSimdWidth,
-              cps::linalg::simd_isa_name());
-  std::printf("  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < g_results.size(); ++i) {
-    std::printf("    {\"name\": \"%s\", \"run_type\": \"iteration\", "
-                "\"real_time\": %.3f, \"cpu_time\": %.3f, \"time_unit\": \"ms\"}%s\n",
-                g_results[i].name.c_str(), g_results[i].seconds * 1e3,
-                g_results[i].seconds * 1e3, i + 1 < g_results.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
+  report.print();
   return 0;
 }

@@ -11,9 +11,9 @@
 //
 // The *_warm numbers deliberately exclude the first request (which pays
 // the fixture compute): the bench reports what a RESIDENT server does,
-// which is the daemon's reason to exist.  Emits the same Google-
-// Benchmark-compatible self-JSON as campaign_scaling/alloc_parallel
-// (context fields included), recorded by CI's warn-only campaign lane.
+// which is the daemon's reason to exist.  Emits Google-Benchmark-
+// compatible JSON (bench/self_json.hpp), recorded by CI's warn-only
+// campaign lane.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -24,7 +24,7 @@
 #include <unistd.h>
 #include <vector>
 
-#include "linalg/simd_batch.hpp"
+#include "self_json.hpp"
 #include "serve/client.hpp"
 #include "serve/queries.hpp"
 #include "serve/server.hpp"
@@ -37,18 +37,6 @@ using namespace cps::serve;
 constexpr int kIterations = 200;        ///< per single-client measurement
 constexpr int kThroughputPerClient = 100;
 constexpr int kThroughputClients = 4;
-
-struct Result {
-  std::string name;
-  double seconds = 0.0;
-};
-
-std::vector<Result> g_results;
-
-void record(const std::string& name, double seconds) {
-  std::fprintf(stderr, "  %-32s %10.3f us\n", name.c_str(), seconds * 1e6);
-  g_results.push_back(Result{name, seconds});
-}
 
 std::string encode_ping_request() {
   PingRequest ping{"bench", 0};
@@ -105,6 +93,7 @@ double time_query(QueryClient& client, Opcode opcode, const std::string& payload
 int main(int argc, char** argv) {
   (void)argc;
   (void)argv;
+  cps::bench::SelfJson report("serve_qps");
 
   const std::string socket_path =
       "/tmp/cps_qps_" + std::to_string(::getpid()) + ".sock";
@@ -125,12 +114,13 @@ int main(int argc, char** argv) {
     ClientOptions client_options;
     client_options.socket_path = socket_path;
     QueryClient client(std::move(client_options));
-    record("serve_qps_ping_rtt", time_query(client, Opcode::kPing, encode_ping_request()));
-    record("serve_qps_curve_warm", time_query(client, Opcode::kCurve, ""));
-    record("serve_qps_sched_check_warm",
-           time_query(client, Opcode::kSchedCheck, encode_sched_request()));
-    record("serve_qps_alloc_ff_warm",
-           time_query(client, Opcode::kAllocate, encode_alloc_request()));
+    report.record("serve_qps_ping_rtt",
+                  time_query(client, Opcode::kPing, encode_ping_request()));
+    report.record("serve_qps_curve_warm", time_query(client, Opcode::kCurve, ""));
+    report.record("serve_qps_sched_check_warm",
+                  time_query(client, Opcode::kSchedCheck, encode_sched_request()));
+    report.record("serve_qps_alloc_ff_warm",
+                  time_query(client, Opcode::kAllocate, encode_alloc_request()));
   }
 
   {
@@ -152,30 +142,13 @@ int main(int argc, char** argv) {
     for (auto& thread : clients) thread.join();
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    record("serve_qps_ping_throughput_c4",
-           wall / (kThroughputClients * kThroughputPerClient));
+    report.record("serve_qps_ping_throughput_c4",
+                  wall / (kThroughputClients * kThroughputPerClient));
   }
 
   server.request_drain();
   server_thread.join();
 
-#ifdef NDEBUG
-  const char* build_type = "release";
-#else
-  const char* build_type = "debug";
-#endif
-  std::printf("{\n  \"context\": {\"executable\": \"serve_qps\", "
-              "\"library_build_type\": \"%s\", \"cps_library_build_type\": \"%s\", "
-              "\"cps_simd_width\": \"%zu\", \"cps_simd_isa\": \"%s\"},\n",
-              build_type, build_type, cps::linalg::kSimdWidth,
-              cps::linalg::simd_isa_name());
-  std::printf("  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < g_results.size(); ++i) {
-    std::printf("    {\"name\": \"%s\", \"run_type\": \"iteration\", "
-                "\"real_time\": %.6f, \"cpu_time\": %.6f, \"time_unit\": \"ms\"}%s\n",
-                g_results[i].name.c_str(), g_results[i].seconds * 1e3,
-                g_results[i].seconds * 1e3, i + 1 < g_results.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
+  report.print();
   return 0;
 }

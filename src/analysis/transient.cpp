@@ -80,18 +80,9 @@ TransientGrowth transient_growth_restricted(const linalg::Matrix& a, std::size_t
   return out;
 }
 
-double excursion_bound(const TransientGrowth& growth, double threshold,
-                       double release_factor) {
+double excursion_bound(const TransientGrowth& growth, double threshold) {
   CPS_ENSURE(threshold > 0.0, "excursion_bound: threshold must be positive");
-  CPS_ENSURE(release_factor > 0.0 && release_factor <= 1.0,
-             "excursion_bound: release factor must be in (0, 1]");
-  return growth.peak_gain * release_factor * threshold;
-}
-
-double chatter_free_release_factor(const linalg::Matrix& a_et,
-                                   const TransientGrowthOptions& opts) {
-  const TransientGrowth growth = transient_growth(a_et, opts);
-  return std::min(1.0, 1.0 / growth.peak_gain);
+  return growth.peak_gain * threshold;
 }
 
 }  // namespace cps::analysis

@@ -74,15 +74,8 @@ TransientGrowth transient_growth_restricted(const linalg::Matrix& a, std::size_t
                                             TransientWorkspace& workspace);
 
 /// Upper bound on the steady-state excursion after a TT-slot release at
-/// norm threshold * release_factor: peak_gain * release_factor * threshold.
-/// The scheme is chatter-free iff this is <= threshold, i.e.
-/// release_factor <= 1 / peak_gain.
-double excursion_bound(const TransientGrowth& growth, double threshold,
-                       double release_factor = 1.0);
-
-/// Largest slot-release factor that provably avoids steady-state
-/// excursions under the given ET loop (1 / peak_gain, capped at 1).
-double chatter_free_release_factor(const linalg::Matrix& a_et,
-                                   const TransientGrowthOptions& opts = {});
+/// the norm threshold: peak_gain * threshold.  The scheme is chatter-free
+/// iff this is <= threshold, i.e. peak_gain <= 1.
+double excursion_bound(const TransientGrowth& growth, double threshold);
 
 }  // namespace cps::analysis

@@ -28,8 +28,6 @@ std::size_t SlotTimeline::grant_count() const {
 
 CoSimulator::CoSimulator(CoSimulationOptions options) : options_(std::move(options)) {
   CPS_ENSURE(options_.horizon > 0.0, "CoSimulator: horizon must be positive");
-  CPS_ENSURE(options_.release_factor > 0.0 && options_.release_factor <= 1.0,
-             "CoSimulator: release factor must be in (0, 1]");
   options_.bus_config.validate();
 }
 
@@ -115,8 +113,7 @@ CoSimulationResult CoSimulator::run() const {
       const std::size_t owner = slot_owner[s];
       if (owner != n_apps) {
         const auto& sys = entries_[owner].app->switched_system();
-        if (sys.threshold_norm(state[owner]) <=
-            options_.release_factor * entries_[owner].app->timing().threshold)
+        if (sys.threshold_norm(state[owner]) <= entries_[owner].app->timing().threshold)
           slot_owner[s] = n_apps;
       }
     }

@@ -74,10 +74,6 @@ struct CoSimulationOptions {
   double horizon = 12.0;          ///< simulated time [s]
   bool simulate_bus = true;       ///< move messages through the FlexRay model
   flexray::FlexRayConfig bus_config;  ///< defaults mirror the case study
-  /// A slot is released once ||x|| <= release_factor * E_th.  1.0 is the
-  /// paper's rule (release at the threshold); smaller values add hysteresis
-  /// that suppresses steady-state mode chattering of oscillatory ET loops.
-  double release_factor = 1.0;
 };
 
 /// Co-simulator: register applications with their slot assignment and

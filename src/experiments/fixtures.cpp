@@ -12,240 +12,135 @@
 #include "runtime/sweep_runner.hpp"
 #include "sim/switched_system.hpp"
 
+// ---------------------------------------------------------------------------
+// Field lists of the stored fixture types: how each persists to the
+// on-disk store (`cps_run --fixture-store DIR`).  Every double goes
+// through its IEEE-754 bit pattern, so a disk hit is bit-identical to a
+// fresh compute and experiment CSVs cannot depend on the store's state.
+// Each list is part of a codec's /vN layout (the format tags below):
+// change one and bump that tag, so stale files are recomputed instead of
+// misread.
+namespace cps::util {
+
+template <>
+struct Layout<sim::DwellWaitPoint> {
+  template <typename Io, typename P>
+  static void fields(Io& io, P& p) { io(p.wait_steps, p.dwell_steps, p.wait_s, p.dwell_s); }
+};
+
+template <>
+struct Layout<plants::AppTimingParams> {
+  template <typename Io, typename P>
+  static void fields(Io& io, P& p) {
+    io(p.name, p.r, p.xi_d, p.xi_tt, p.xi_et, p.xi_m, p.k_p, p.xi_m_mono);
+  }
+};
+
+template <>
+struct Layout<control::PolePlacementLoopSpec> {
+  template <typename Io, typename S>
+  static void fields(Io& io, S& s) {
+    io(s.sampling_period, s.delay_tt, s.delay_et, s.poles_tt, s.poles_et);
+  }
+};
+
+template <>
+struct Layout<plants::SynthesizedSchedApp> {
+  template <typename Io, typename A>
+  static void fields(Io& io, A& a) {
+    io(a.name, a.family, a.r, a.deadline, a.xi_tt, a.xi_m, a.k_p, a.xi_et);
+  }
+};
+
+template <>
+struct Layout<plants::SchedFleet> {
+  template <typename Io, typename F>
+  static void fields(Io& io, F& f) {
+    io(f.target_utilization, f.achieved_utilization, f.apps);
+  }
+};
+
+// The types below check invariants in their constructors (or hold one
+// that does): written through their accessors, read back through it.
+
+template <>
+struct Layout<sim::DwellWaitCurve> {
+  static void write(BinaryWriter& out, const sim::DwellWaitCurve& c) {
+    out(c.sampling_period(), c.points());
+  }
+  static sim::DwellWaitCurve read(BinaryReader& in) {
+    return {in.read<double>(), in.read<std::vector<sim::DwellWaitPoint>>()};
+  }
+};
+
+template <>
+struct Layout<control::StateSpace> {
+  static void write(BinaryWriter& out, const control::StateSpace& s) {
+    out(s.a(), s.b(), s.c(), s.d());
+  }
+  static control::StateSpace read(BinaryReader& in) {
+    using linalg::Matrix;
+    return {in.read<Matrix>(), in.read<Matrix>(), in.read<Matrix>(), in.read<Matrix>()};
+  }
+};
+
+template <>
+struct Layout<control::DiscreteSystem> {
+  static void write(BinaryWriter& out, const control::DiscreteSystem& s) {
+    out(s.phi(), s.gamma0(), s.gamma1(), s.c(), s.sampling_period(), s.delay());
+  }
+  static control::DiscreteSystem read(BinaryReader& in) {
+    using linalg::Matrix;
+    return {in.read<Matrix>(), in.read<Matrix>(), in.read<Matrix>(),
+            in.read<Matrix>(), in.read<double>(), in.read<double>()};
+  }
+};
+
+template <>
+struct Layout<control::HybridLoopDesign> {
+  static void write(BinaryWriter& out, const control::HybridLoopDesign& d) {
+    out(d.sys_tt, d.sys_et, d.gain_tt, d.gain_et, d.a_tt, d.a_et, d.state_dim, d.input_dim,
+        d.rho_tt, d.rho_et);
+  }
+  static control::HybridLoopDesign read(BinaryReader& in) {
+    using control::DiscreteSystem;
+    using linalg::Matrix;
+    return {in.read<DiscreteSystem>(), in.read<DiscreteSystem>(), in.read<Matrix>(),
+            in.read<Matrix>(),         in.read<Matrix>(),         in.read<Matrix>(),
+            in.read<std::size_t>(),    in.read<std::size_t>(),    in.read<double>(),
+            in.read<double>()};
+  }
+};
+
+template <>
+struct Layout<plants::SynthesizedApp> {
+  static void write(BinaryWriter& out, const plants::SynthesizedApp& app) {
+    out(app.family, app.target, app.plant, app.spec, app.x0, app.threshold);
+  }
+  static plants::SynthesizedApp read(BinaryReader& in) {
+    const auto family = in.read<plants::PlantFamily>();
+    return {in.read<plants::AppTimingParams>(), in.read<control::StateSpace>(),
+            in.read<control::PolePlacementLoopSpec>(), in.read<linalg::Vector>(),
+            in.read<double>(), family};
+  }
+};
+
+}  // namespace cps::util
+
 namespace cps::experiments {
 
 namespace {
 
-using runtime::FixtureCodec;
 using runtime::FixtureHandle;
 using runtime::FixtureKey;
-using util::BinaryReader;
-using util::BinaryWriter;
 
-// ---------------------------------------------------------------------------
-// Fixture codecs: how each cached fixture type persists to the on-disk
-// store (`cps_run --fixture-store DIR`).  Every double goes through its
-// IEEE-754 bit pattern, so a disk hit is bit-identical to a fresh
-// compute and experiment CSVs cannot depend on the store's state.  Bump
-// a codec's /vN tag whenever its layout changes — stale files are then
-// recomputed instead of misread.
-
-void encode_discrete_system(const control::DiscreteSystem& sys, BinaryWriter& out) {
-  out.write_matrix(sys.phi());
-  out.write_matrix(sys.gamma0());
-  out.write_matrix(sys.gamma1());
-  out.write_matrix(sys.c());
-  out.write_double(sys.sampling_period());
-  out.write_double(sys.delay());
-}
-
-control::DiscreteSystem decode_discrete_system(BinaryReader& in) {
-  auto phi = in.read_matrix();
-  auto gamma0 = in.read_matrix();
-  auto gamma1 = in.read_matrix();
-  auto c = in.read_matrix();
-  const double h = in.read_double();
-  const double d = in.read_double();
-  return control::DiscreteSystem(std::move(phi), std::move(gamma0), std::move(gamma1),
-                                 std::move(c), h, d);
-}
-
-const FixtureCodec<control::HybridLoopDesign>& design_codec() {
-  static const FixtureCodec<control::HybridLoopDesign> codec{
-      "hybrid_design/v1",
-      [](const control::HybridLoopDesign& design, BinaryWriter& out) {
-        encode_discrete_system(design.sys_tt, out);
-        encode_discrete_system(design.sys_et, out);
-        out.write_matrix(design.gain_tt);
-        out.write_matrix(design.gain_et);
-        out.write_matrix(design.a_tt);
-        out.write_matrix(design.a_et);
-        out.write_u64(design.state_dim);
-        out.write_u64(design.input_dim);
-        out.write_double(design.rho_tt);
-        out.write_double(design.rho_et);
-      },
-      [](BinaryReader& in) {
-        control::HybridLoopDesign design{decode_discrete_system(in),
-                                         decode_discrete_system(in),
-                                         {}, {}, {}, {}, 0, 0, 0.0, 0.0};
-        design.gain_tt = in.read_matrix();
-        design.gain_et = in.read_matrix();
-        design.a_tt = in.read_matrix();
-        design.a_et = in.read_matrix();
-        design.state_dim = static_cast<std::size_t>(in.read_u64());
-        design.input_dim = static_cast<std::size_t>(in.read_u64());
-        design.rho_tt = in.read_double();
-        design.rho_et = in.read_double();
-        return design;
-      }};
-  return codec;
-}
-
-const FixtureCodec<sim::DwellWaitCurve>& curve_codec() {
-  static const FixtureCodec<sim::DwellWaitCurve> codec{
-      "dwell_wait_curve/v1",
-      [](const sim::DwellWaitCurve& curve, BinaryWriter& out) {
-        out.write_double(curve.sampling_period());
-        out.write_u64(curve.points().size());
-        for (const auto& p : curve.points()) {
-          out.write_u64(p.wait_steps);
-          out.write_u64(p.dwell_steps);
-          out.write_double(p.wait_s);
-          out.write_double(p.dwell_s);
-        }
-      },
-      [](BinaryReader& in) {
-        const double h = in.read_double();
-        const std::size_t count = static_cast<std::size_t>(in.read_u64());
-        std::vector<sim::DwellWaitPoint> points(count);
-        for (auto& p : points) {
-          p.wait_steps = static_cast<std::size_t>(in.read_u64());
-          p.dwell_steps = static_cast<std::size_t>(in.read_u64());
-          p.wait_s = in.read_double();
-          p.dwell_s = in.read_double();
-        }
-        return sim::DwellWaitCurve(h, std::move(points));
-      }};
-  return codec;
-}
-
-const FixtureCodec<std::vector<plants::SynthesizedApp>>& fleet_codec() {
-  // /v2: every application carries its PlantFamily (the extra-fleet pool
-  // spans three families); stale /v1 files recompute instead of misread.
-  static const FixtureCodec<std::vector<plants::SynthesizedApp>> codec{
-      "fleet_synthesis/v2",
-      [](const std::vector<plants::SynthesizedApp>& fleet, BinaryWriter& out) {
-        out.write_u64(fleet.size());
-        for (const auto& app : fleet) {
-          out.write_u64(static_cast<std::uint64_t>(app.family));
-          out.write_string(app.target.name);
-          out.write_double(app.target.r);
-          out.write_double(app.target.xi_d);
-          out.write_double(app.target.xi_tt);
-          out.write_double(app.target.xi_et);
-          out.write_double(app.target.xi_m);
-          out.write_double(app.target.k_p);
-          out.write_double(app.target.xi_m_mono);
-          out.write_matrix(app.plant.a());
-          out.write_matrix(app.plant.b());
-          out.write_matrix(app.plant.c());
-          out.write_matrix(app.plant.d());
-          out.write_double(app.spec.sampling_period);
-          out.write_double(app.spec.delay_tt);
-          out.write_double(app.spec.delay_et);
-          out.write_u64(app.spec.poles_tt.size());
-          for (const auto& p : app.spec.poles_tt) {
-            out.write_double(p.real());
-            out.write_double(p.imag());
-          }
-          out.write_u64(app.spec.poles_et.size());
-          for (const auto& p : app.spec.poles_et) {
-            out.write_double(p.real());
-            out.write_double(p.imag());
-          }
-          out.write_vector(app.x0);
-          out.write_double(app.threshold);
-        }
-      },
-      [](BinaryReader& in) {
-        const std::size_t count = static_cast<std::size_t>(in.read_u64());
-        std::vector<plants::SynthesizedApp> fleet;
-        fleet.reserve(count);
-        for (std::size_t i = 0; i < count; ++i) {
-          const auto family = static_cast<plants::PlantFamily>(in.read_u64());
-          plants::AppTimingParams target;
-          target.name = in.read_string();
-          target.r = in.read_double();
-          target.xi_d = in.read_double();
-          target.xi_tt = in.read_double();
-          target.xi_et = in.read_double();
-          target.xi_m = in.read_double();
-          target.k_p = in.read_double();
-          target.xi_m_mono = in.read_double();
-          auto a = in.read_matrix();
-          auto b = in.read_matrix();
-          auto c = in.read_matrix();
-          auto d = in.read_matrix();
-          control::PolePlacementLoopSpec spec;
-          spec.sampling_period = in.read_double();
-          spec.delay_tt = in.read_double();
-          spec.delay_et = in.read_double();
-          const std::size_t tt = static_cast<std::size_t>(in.read_u64());
-          spec.poles_tt.reserve(tt);
-          for (std::size_t k = 0; k < tt; ++k) {
-            const double re = in.read_double();
-            const double im = in.read_double();
-            spec.poles_tt.emplace_back(re, im);
-          }
-          const std::size_t et = static_cast<std::size_t>(in.read_u64());
-          spec.poles_et.reserve(et);
-          for (std::size_t k = 0; k < et; ++k) {
-            const double re = in.read_double();
-            const double im = in.read_double();
-            spec.poles_et.emplace_back(re, im);
-          }
-          auto x0 = in.read_vector();
-          const double threshold = in.read_double();
-          fleet.push_back(plants::SynthesizedApp{
-              std::move(target),
-              control::StateSpace(std::move(a), std::move(b), std::move(c), std::move(d)),
-              std::move(spec), std::move(x0), threshold, family});
-        }
-        return fleet;
-      }};
-  return codec;
-}
-
-const FixtureCodec<std::vector<plants::SchedFleet>>& sched_fleet_batch_codec() {
-  static const FixtureCodec<std::vector<plants::SchedFleet>> codec{
-      "sched_fleet_batch/v1",
-      [](const std::vector<plants::SchedFleet>& batch, BinaryWriter& out) {
-        out.write_u64(batch.size());
-        for (const auto& fleet : batch) {
-          out.write_double(fleet.target_utilization);
-          out.write_double(fleet.achieved_utilization);
-          out.write_u64(fleet.apps.size());
-          for (const auto& app : fleet.apps) {
-            out.write_string(app.name);
-            out.write_u64(static_cast<std::uint64_t>(app.family));
-            out.write_double(app.r);
-            out.write_double(app.deadline);
-            out.write_double(app.xi_tt);
-            out.write_double(app.xi_m);
-            out.write_double(app.k_p);
-            out.write_double(app.xi_et);
-          }
-        }
-      },
-      [](BinaryReader& in) {
-        const std::size_t count = static_cast<std::size_t>(in.read_u64());
-        std::vector<plants::SchedFleet> batch;
-        batch.reserve(count);
-        for (std::size_t i = 0; i < count; ++i) {
-          plants::SchedFleet fleet;
-          fleet.target_utilization = in.read_double();
-          fleet.achieved_utilization = in.read_double();
-          const std::size_t napps = static_cast<std::size_t>(in.read_u64());
-          fleet.apps.reserve(napps);
-          for (std::size_t j = 0; j < napps; ++j) {
-            plants::SynthesizedSchedApp app;
-            app.name = in.read_string();
-            app.family = static_cast<plants::PlantFamily>(in.read_u64());
-            app.r = in.read_double();
-            app.deadline = in.read_double();
-            app.xi_tt = in.read_double();
-            app.xi_m = in.read_double();
-            app.k_p = in.read_double();
-            app.xi_et = in.read_double();
-            fleet.apps.push_back(std::move(app));
-          }
-          batch.push_back(std::move(fleet));
-        }
-        return batch;
-      }};
-  return codec;
-}
+// Store format tags of the cached fixtures.  /v2 of the fleet: every
+// application carries its PlantFamily (the extra-fleet pool spans three
+// families); stale /v1 files recompute instead of misread.
+constexpr char kDesignFormat[] = "hybrid_design/v1";
+constexpr char kCurveFormat[] = "dwell_wait_curve/v1";
+constexpr char kFleetFormat[] = "fleet_synthesis/v2";
+constexpr char kSchedFleetBatchFormat[] = "sched_fleet_batch/v1";
 
 /// Content key of a pole-placement design problem: the continuous plant
 /// plus every spec field that shapes the two closed loops.
@@ -264,7 +159,7 @@ FixtureKey design_key(const control::StateSpace& plant,
 std::shared_ptr<const control::HybridLoopDesign> cached_design(
     const control::StateSpace& plant, const control::PolePlacementLoopSpec& spec) {
   return FixtureHandle<control::HybridLoopDesign>(design_key(plant, spec))
-      .with_codec(design_codec())
+      .with_codec({kDesignFormat})
       .get([&] { return control::design_hybrid_loops(plant, spec); });
 }
 
@@ -278,7 +173,7 @@ std::shared_ptr<const sim::DwellWaitCurve> cached_curve(const control::HybridLoo
   FixtureKey key("dwell_wait_curve");
   key.add(design.a_et).add(design.a_tt).add(std::uint64_t{design.state_dim});
   key.add(x0_aug).add(design.sys_tt.sampling_period()).add(threshold);
-  return FixtureHandle<sim::DwellWaitCurve>(key).with_codec(curve_codec()).get([&] {
+  return FixtureHandle<sim::DwellWaitCurve>(key).with_codec({kCurveFormat}).get([&] {
     sim::SwitchedLinearSystem sys(design.a_et, design.a_tt, design.state_dim);
     sim::DwellWaitSweepOptions opts;
     opts.settling.threshold = threshold;
@@ -304,7 +199,7 @@ std::shared_ptr<const sim::DwellWaitCurve> measure_synthesized_curve(
 std::shared_ptr<const std::vector<plants::SynthesizedApp>> paper_fleet() {
   // Nullary synthesis: the content is the (versioned) recipe itself.
   return FixtureHandle<std::vector<plants::SynthesizedApp>>("fleet_synthesis/table1-v1")
-      .with_codec(fleet_codec())
+      .with_codec({kFleetFormat})
       .get([] { return plants::synthesize_fleet(); });
 }
 
@@ -313,7 +208,7 @@ std::shared_ptr<const std::vector<plants::SynthesizedApp>> extra_fleet(std::size
   FixtureKey key("fleet_synthesis");
   key.add("extras-v1").add(std::uint64_t{count}).add(seed);
   return FixtureHandle<std::vector<plants::SynthesizedApp>>(key)
-      .with_codec(fleet_codec())
+      .with_codec({kFleetFormat})
       .get([&] { return plants::synthesize_extra_fleet(count, seed); });
 }
 
@@ -334,7 +229,7 @@ std::shared_ptr<const std::vector<plants::SchedFleet>> sched_fleet_batch(
   for (const auto family : spec.families) key.add(std::string_view(plants::family_name(family)));
   key.add(std::uint64_t{trials}).add(batch_seed);
   return FixtureHandle<std::vector<plants::SchedFleet>>(key)
-      .with_codec(sched_fleet_batch_codec())
+      .with_codec({kSchedFleetBatchFormat})
       .get([&] {
         std::vector<plants::SchedFleet> batch;
         batch.reserve(trials);

@@ -22,20 +22,16 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <typeindex>
 #include <unordered_map>
 #include <utility>
 
-#include "linalg/matrix.hpp"
-#include "linalg/vector.hpp"
 #include "runtime/fixture_store.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
@@ -43,21 +39,25 @@
 
 namespace cps::runtime {
 
-/// Builder of content-addressed cache keys: FNV-1a 64 (util/hash.hpp) over
-/// the bit patterns of every field added.  The rendered key is
-/// "<domain>/<16-hex-digits>", so the domain keeps keys debuggable while
-/// the hash carries the content.
+/// Builder of content-addressed cache keys: the fields added, encoded
+/// as util::BinaryWriter writes them (little-endian, doubles by bit
+/// pattern, strings and containers length-prefixed), hashed with FNV-1a
+/// 64 (util/hash.hpp).  The rendered key is "<domain>/<16-hex-digits>",
+/// so the domain keeps keys debuggable while the hash carries the
+/// content.
 class FixtureKey {
  public:
   /// Start a key in `domain` (a short fixture-family name, e.g.
   /// "dwell_wait_curve").
-  explicit FixtureKey(std::string domain);
+  explicit FixtureKey(std::string domain) : domain_(std::move(domain)) {}
 
-  FixtureKey& add(double value);             ///< mix the IEEE-754 bit pattern
-  FixtureKey& add(std::uint64_t value);      ///< mix an integer field
-  FixtureKey& add(std::string_view text);    ///< mix length-prefixed bytes
-  FixtureKey& add(const linalg::Matrix& m);  ///< dimensions + every entry
-  FixtureKey& add(const linalg::Vector& v);  ///< size + every entry
+  /// Mix every value in order (doubles, integers, strings, matrices,
+  /// vectors: anything BinaryWriter writes).
+  template <typename... Ts>
+  FixtureKey& add(const Ts&... values) {
+    material_(values...);
+    return *this;
+  }
 
   /// The rendered key; stable across processes and platforms with IEEE-754
   /// doubles.
@@ -65,30 +65,31 @@ class FixtureKey {
 
   /// Every byte mixed into the hash, in order — stored by the cache and
   /// compared on hits so a digest collision cannot alias fixtures.
-  const std::string& material() const { return material_; }
+  const std::string& material() const { return material_.bytes(); }
 
  private:
-  void mix_bytes(const void* data, std::size_t size);
-
   std::string domain_;
-  std::string material_;
-  util::Fnv1a64 hash_;
+  util::BinaryWriter material_;
 };
 
 /// Binary codec for one fixture type: how the two-level cache persists a
 /// T to the on-disk store and restores it bit-identically.
 ///
 /// `format` is the versioned layout tag (e.g. "dwell_wait_curve/v1");
-/// bump the version whenever encode/decode change, so stale files are
-/// recomputed instead of misread.  decode(encode(x)) must reproduce x
-/// EXACTLY — every double via its IEEE-754 bit pattern
-/// (util/serialize.hpp) — because experiment outputs must not depend on
-/// whether a fixture came from compute or from disk.
+/// bump the version whenever the layout changes, so stale files are
+/// recomputed instead of misread.  encode/decode default to T's one
+/// field list (util/serialize.hpp); decode(encode(x)) must reproduce x
+/// EXACTLY — every double via its IEEE-754 bit pattern — because
+/// experiment outputs must not depend on whether a fixture came from
+/// compute or from disk.
 template <typename T>
 struct FixtureCodec {
   std::string format;
-  std::function<void(const T&, util::BinaryWriter&)> encode;
-  std::function<T(util::BinaryReader&)> decode;
+  std::function<void(const T&, util::BinaryWriter&)> encode =
+      [](const T& value, util::BinaryWriter& out) { out(value); };
+  std::function<T(util::BinaryReader&)> decode = [](util::BinaryReader& in) {
+    return in.read<T>();
+  };
 };
 
 template <typename T>

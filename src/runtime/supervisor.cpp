@@ -172,13 +172,11 @@ SupervisorReport ShardSupervisor::run() {
       if (!shard_artifact_landed(artifact, shard, n, options_.expected_seed)) return false;
     return true;
   };
-  if (options_.resume) {
-    for (auto& state : states)
-      if (landed(state.outcome.shard)) {
-        state.phase = ShardState::Phase::kDone;
-        state.outcome.status = ShardOutcome::Status::kSkipped;
-      }
-  }
+  for (auto& state : states)
+    if (landed(state.outcome.shard)) {
+      state.phase = ShardState::Phase::kDone;
+      state.outcome.status = ShardOutcome::Status::kSkipped;
+    }
 
   const auto spawn = [&](ShardState& state) {
     const std::size_t shard = state.outcome.shard;

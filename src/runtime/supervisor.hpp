@@ -93,9 +93,6 @@ struct SupervisorOptions {
   /// as success once its partials verify.
   std::vector<std::string> expected_artifacts;
   std::uint64_t expected_seed = 0;
-  /// Skip shards that already landed (no-op when expected_artifacts is
-  /// empty).
-  bool resume = true;
   /// When non-null, a non-zero value (set by a signal handler) makes the
   /// supervisor tear down every running child (TERM -> grace -> KILL)
   /// and return with interrupted outcomes.

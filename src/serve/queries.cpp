@@ -45,6 +45,14 @@ std::vector<analysis::AppSchedParams> fleet_params(const FleetQuery& query) {
   return plants::to_sched_params(batch->front());
 }
 
+/// A response payload: the value's field list, written.
+template <typename T>
+std::string encoded(const T& value) {
+  util::BinaryWriter out;
+  out(value);
+  return out.take();
+}
+
 std::string handle_ping(util::BinaryReader& in, const QueryContext& context) {
   auto request = PingRequest::decode(in);
   // Sleep in small slices so a deadline can cut the wait short — this is
@@ -58,9 +66,7 @@ std::string handle_ping(util::BinaryReader& in, const QueryContext& context) {
     remaining -= slice;
   }
   check_cancel(context, "ping: sleep cancelled");
-  util::BinaryWriter out;
-  request.encode(out);
-  return out.take();
+  return encoded(request);
 }
 
 std::string handle_curve(util::BinaryReader& in) {
@@ -73,9 +79,7 @@ std::string handle_curve(util::BinaryReader& in) {
   response.xi_m = curve->xi_m();
   response.k_p = curve->k_p();
   response.n_points = curve->points().size();
-  util::BinaryWriter out;
-  response.encode(out);
-  return out.take();
+  return encoded(response);
 }
 
 std::string handle_loop_design(util::BinaryReader& in) {
@@ -90,9 +94,7 @@ std::string handle_loop_design(util::BinaryReader& in) {
   response.rho_et = design->rho_et;
   response.state_dim = design->state_dim;
   response.input_dim = design->input_dim;
-  util::BinaryWriter out;
-  response.encode(out);
-  return out.take();
+  return encoded(response);
 }
 
 std::string handle_allocate(util::BinaryReader& in, const QueryContext& context) {
@@ -132,9 +134,7 @@ std::string handle_allocate(util::BinaryReader& in, const QueryContext& context)
     response.all_schedulable = 0;
     response.slots.clear();
   }
-  util::BinaryWriter out;
-  response.encode(out);
-  return out.take();
+  return encoded(response);
 }
 
 std::string handle_sched_check(util::BinaryReader& in, const QueryContext& context) {
@@ -154,220 +154,63 @@ std::string handle_sched_check(util::BinaryReader& in, const QueryContext& conte
     app.schedulable = result.schedulable ? 1 : 0;
     response.apps.push_back(std::move(app));
   }
-  util::BinaryWriter out;
-  response.encode(out);
-  return out.take();
+  return encoded(response);
 }
 
 std::string handle_stats(util::BinaryReader& in, const QueryContext& context) {
   in.expect_end();  // kStats takes no parameters
   StatsResponse response;
   if (context.stats) response.counters = context.stats();
-  util::BinaryWriter out;
-  response.encode(out);
-  return out.take();
+  return encoded(response);
 }
 
-QueryResult error_result(Status status, const std::string& what) {
-  util::BinaryWriter out;
-  out.write_string(what);
-  return QueryResult{status, out.take()};
+QueryResult error_result(Status status, std::string_view what) {
+  return QueryResult{status, encode_error_payload(what)};
 }
 
 }  // namespace
 
-void PingRequest::encode(util::BinaryWriter& out) const {
-  out.write_string(echo);
-  out.write_u64(sleep_ms);
-}
+void PingRequest::encode(util::BinaryWriter& out) const { out(*this); }
+PingRequest PingRequest::decode(util::BinaryReader& in) { return in.read_all<PingRequest>(); }
 
-PingRequest PingRequest::decode(util::BinaryReader& in) {
-  PingRequest request;
-  request.echo = in.read_string();
-  request.sleep_ms = in.read_u64();
-  in.expect_end();
-  return request;
-}
-
-void CurveResponse::encode(util::BinaryWriter& out) const {
-  out.write_double(sampling_period);
-  out.write_double(xi_tt);
-  out.write_double(xi_et);
-  out.write_double(xi_m);
-  out.write_double(k_p);
-  out.write_u64(n_points);
-}
-
+void CurveResponse::encode(util::BinaryWriter& out) const { out(*this); }
 CurveResponse CurveResponse::decode(util::BinaryReader& in) {
-  CurveResponse response;
-  response.sampling_period = in.read_double();
-  response.xi_tt = in.read_double();
-  response.xi_et = in.read_double();
-  response.xi_m = in.read_double();
-  response.k_p = in.read_double();
-  response.n_points = in.read_u64();
-  in.expect_end();
-  return response;
+  return in.read_all<CurveResponse>();
 }
 
-void LoopDesignRequest::encode(util::BinaryWriter& out) const {
-  out.write_u64(app_index);
-}
-
+void LoopDesignRequest::encode(util::BinaryWriter& out) const { out(*this); }
 LoopDesignRequest LoopDesignRequest::decode(util::BinaryReader& in) {
-  LoopDesignRequest request;
-  request.app_index = in.read_u64();
-  in.expect_end();
-  return request;
+  return in.read_all<LoopDesignRequest>();
 }
 
-void LoopDesignResponse::encode(util::BinaryWriter& out) const {
-  out.write_string(name);
-  out.write_double(rho_tt);
-  out.write_double(rho_et);
-  out.write_u64(state_dim);
-  out.write_u64(input_dim);
-}
-
+void LoopDesignResponse::encode(util::BinaryWriter& out) const { out(*this); }
 LoopDesignResponse LoopDesignResponse::decode(util::BinaryReader& in) {
-  LoopDesignResponse response;
-  response.name = in.read_string();
-  response.rho_tt = in.read_double();
-  response.rho_et = in.read_double();
-  response.state_dim = in.read_u64();
-  response.input_dim = in.read_u64();
-  in.expect_end();
-  return response;
+  return in.read_all<LoopDesignResponse>();
 }
 
-void FleetQuery::encode(util::BinaryWriter& out) const {
-  out.write_u64(n_apps);
-  out.write_double(target_utilization);
-  out.write_double(max_app_utilization);
-  out.write_double(period_lo);
-  out.write_double(period_hi);
-  out.write_double(deadline_frac_lo);
-  out.write_double(deadline_frac_hi);
-  out.write_u64(seed);
-}
-
-FleetQuery FleetQuery::decode(util::BinaryReader& in) {
-  FleetQuery query;
-  query.n_apps = in.read_u64();
-  query.target_utilization = in.read_double();
-  query.max_app_utilization = in.read_double();
-  query.period_lo = in.read_double();
-  query.period_hi = in.read_double();
-  query.deadline_frac_lo = in.read_double();
-  query.deadline_frac_hi = in.read_double();
-  query.seed = in.read_u64();
-  return query;
-}
-
-void AllocateRequest::encode(util::BinaryWriter& out) const {
-  fleet.encode(out);
-  out.write_u64(allocator);
-  out.write_u64(method);
-  out.write_u64(max_slots);
-}
-
+void AllocateRequest::encode(util::BinaryWriter& out) const { out(*this); }
 AllocateRequest AllocateRequest::decode(util::BinaryReader& in) {
-  AllocateRequest request;
-  request.fleet = FleetQuery::decode(in);
-  request.allocator = in.read_u64();
-  request.method = in.read_u64();
-  request.max_slots = in.read_u64();
-  in.expect_end();
-  return request;
+  return in.read_all<AllocateRequest>();
 }
 
-void AllocateResponse::encode(util::BinaryWriter& out) const {
-  out.write_u64(feasible);
-  out.write_u64(slot_count);
-  out.write_u64(all_schedulable);
-  out.write_u64(slots.size());
-  for (const auto& slot : slots) {
-    out.write_u64(slot.size());
-    for (const auto& name : slot) out.write_string(name);
-  }
-}
-
+void AllocateResponse::encode(util::BinaryWriter& out) const { out(*this); }
 AllocateResponse AllocateResponse::decode(util::BinaryReader& in) {
-  AllocateResponse response;
-  response.feasible = in.read_u64();
-  response.slot_count = in.read_u64();
-  response.all_schedulable = in.read_u64();
-  const auto n_slots = in.read_u64();
-  response.slots.resize(static_cast<std::size_t>(n_slots));
-  for (auto& slot : response.slots) {
-    const auto n_apps = in.read_u64();
-    slot.reserve(static_cast<std::size_t>(n_apps));
-    for (std::uint64_t i = 0; i < n_apps; ++i) slot.push_back(in.read_string());
-  }
-  in.expect_end();
-  return response;
+  return in.read_all<AllocateResponse>();
 }
 
-void SchedCheckRequest::encode(util::BinaryWriter& out) const {
-  fleet.encode(out);
-  out.write_u64(method);
-}
-
+void SchedCheckRequest::encode(util::BinaryWriter& out) const { out(*this); }
 SchedCheckRequest SchedCheckRequest::decode(util::BinaryReader& in) {
-  SchedCheckRequest request;
-  request.fleet = FleetQuery::decode(in);
-  request.method = in.read_u64();
-  in.expect_end();
-  return request;
+  return in.read_all<SchedCheckRequest>();
 }
 
-void SchedCheckResponse::encode(util::BinaryWriter& out) const {
-  out.write_u64(all_schedulable);
-  out.write_u64(apps.size());
-  for (const auto& app : apps) {
-    out.write_string(app.name);
-    out.write_double(app.response);
-    out.write_double(app.deadline);
-    out.write_u64(app.schedulable);
-  }
-}
-
+void SchedCheckResponse::encode(util::BinaryWriter& out) const { out(*this); }
 SchedCheckResponse SchedCheckResponse::decode(util::BinaryReader& in) {
-  SchedCheckResponse response;
-  response.all_schedulable = in.read_u64();
-  const auto n_apps = in.read_u64();
-  response.apps.reserve(static_cast<std::size_t>(n_apps));
-  for (std::uint64_t i = 0; i < n_apps; ++i) {
-    SchedCheckResponse::App app;
-    app.name = in.read_string();
-    app.response = in.read_double();
-    app.deadline = in.read_double();
-    app.schedulable = in.read_u64();
-    response.apps.push_back(std::move(app));
-  }
-  in.expect_end();
-  return response;
+  return in.read_all<SchedCheckResponse>();
 }
 
-void StatsResponse::encode(util::BinaryWriter& out) const {
-  out.write_u64(counters.size());
-  for (const auto& [name, value] : counters) {
-    out.write_string(name);
-    out.write_u64(value);
-  }
-}
-
+void StatsResponse::encode(util::BinaryWriter& out) const { out(*this); }
 StatsResponse StatsResponse::decode(util::BinaryReader& in) {
-  StatsResponse response;
-  const auto n = in.read_u64();
-  response.counters.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    auto name = in.read_string();
-    const auto value = in.read_u64();
-    response.counters.emplace_back(std::move(name), value);
-  }
-  in.expect_end();
-  return response;
+  return in.read_all<StatsResponse>();
 }
 
 QueryResult dispatch(Opcode opcode, std::string_view payload, const QueryContext& context) {
@@ -398,12 +241,12 @@ QueryResult dispatch(Opcode opcode, std::string_view payload, const QueryContext
   }
 }
 
+std::string encode_error_payload(std::string_view what) { return encoded(what); }
+
 std::string decode_error_payload(std::string_view payload) {
   try {
     util::BinaryReader in(payload);
-    auto text = in.read_string();
-    in.expect_end();
-    return text;
+    return in.read_all<std::string>();
   } catch (const util::SerializeError&) {
     return std::string(payload);  // best effort for malformed error frames
   }

@@ -1,8 +1,10 @@
 // The cps_serve query catalog: per-opcode payload layouts and the one
 // dispatcher both the daemon and `cps_query --local` run.
 //
-// Every payload is encoded with util/serialize (exact IEEE-754 bit
-// round-trips), and every handler is a pure function of its request
+// Every payload struct carries one field list, which encode() writes and
+// decode() reads back through util/serialize (exact IEEE-754 bit
+// round-trips; decode also rejects trailing bytes and any element count
+// larger than the payload).  Every handler is a pure function of its request
 // payload plus the resident fixture state — so a response computed by
 // the daemon is BYTE-IDENTICAL to one computed in-process by the same
 // dispatcher (the CI lifecycle job `cmp`s exactly that).  The expensive
@@ -39,6 +41,8 @@ struct PingRequest {
   std::string echo;
   std::uint64_t sleep_ms = 0;
 
+  template <typename Io>
+  void fields(Io& io) { io(echo, sleep_ms); }
   void encode(util::BinaryWriter& out) const;
   static PingRequest decode(util::BinaryReader& in);
 };
@@ -53,6 +57,8 @@ struct CurveResponse {
   double k_p = 0.0;
   std::uint64_t n_points = 0;
 
+  template <typename Io>
+  void fields(Io& io) { io(sampling_period, xi_tt, xi_et, xi_m, k_p, n_points); }
   void encode(util::BinaryWriter& out) const;
   static CurveResponse decode(util::BinaryReader& in);
 };
@@ -61,6 +67,8 @@ struct CurveResponse {
 struct LoopDesignRequest {
   std::uint64_t app_index = 0;
 
+  template <typename Io>
+  void fields(Io& io) { io(app_index); }
   void encode(util::BinaryWriter& out) const;
   static LoopDesignRequest decode(util::BinaryReader& in);
 };
@@ -73,6 +81,8 @@ struct LoopDesignResponse {
   std::uint64_t state_dim = 0;
   std::uint64_t input_dim = 0;
 
+  template <typename Io>
+  void fields(Io& io) { io(name, rho_tt, rho_et, state_dim, input_dim); }
   void encode(util::BinaryWriter& out) const;
   static LoopDesignResponse decode(util::BinaryReader& in);
 };
@@ -92,8 +102,11 @@ struct FleetQuery {
   double deadline_frac_hi = 1.0;
   std::uint64_t seed = 1;
 
-  void encode(util::BinaryWriter& out) const;
-  static FleetQuery decode(util::BinaryReader& in);
+  template <typename Io>
+  void fields(Io& io) {
+    io(n_apps, target_utilization, max_app_utilization, period_lo, period_hi,
+       deadline_frac_lo, deadline_frac_hi, seed);
+  }
 };
 
 /// Allocator selection for kAllocate.
@@ -110,6 +123,8 @@ struct AllocateRequest {
   std::uint64_t method = 0;     ///< 0 closed-form bound, 1 exact fixed point
   std::uint64_t max_slots = 0;  ///< 0 = unlimited
 
+  template <typename Io>
+  void fields(Io& io) { io(fleet, allocator, method, max_slots); }
   void encode(util::BinaryWriter& out) const;
   static AllocateRequest decode(util::BinaryReader& in);
 };
@@ -122,6 +137,8 @@ struct AllocateResponse {
   std::uint64_t all_schedulable = 0;
   std::vector<std::vector<std::string>> slots;  ///< app names per slot
 
+  template <typename Io>
+  void fields(Io& io) { io(feasible, slot_count, all_schedulable, slots); }
   void encode(util::BinaryWriter& out) const;
   static AllocateResponse decode(util::BinaryReader& in);
 };
@@ -132,6 +149,8 @@ struct SchedCheckRequest {
   FleetQuery fleet;
   std::uint64_t method = 0;  ///< 0 closed-form bound, 1 exact fixed point
 
+  template <typename Io>
+  void fields(Io& io) { io(fleet, method); }
   void encode(util::BinaryWriter& out) const;
   static SchedCheckRequest decode(util::BinaryReader& in);
 };
@@ -143,10 +162,15 @@ struct SchedCheckResponse {
     double response = 0.0;
     double deadline = 0.0;
     std::uint64_t schedulable = 0;
+
+    template <typename Io>
+    void fields(Io& io) { io(name, response, deadline, schedulable); }
   };
   std::uint64_t all_schedulable = 0;
   std::vector<App> apps;
 
+  template <typename Io>
+  void fields(Io& io) { io(all_schedulable, apps); }
   void encode(util::BinaryWriter& out) const;
   static SchedCheckResponse decode(util::BinaryReader& in);
 };
@@ -157,6 +181,8 @@ struct SchedCheckResponse {
 struct StatsResponse {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
 
+  template <typename Io>
+  void fields(Io& io) { io(counters); }
   void encode(util::BinaryWriter& out) const;
   static StatsResponse decode(util::BinaryReader& in);
 };
@@ -181,6 +207,9 @@ struct QueryResult {
 /// CancelledError to kDeadlineExceeded, anything else to kInternalError
 /// (each with a diagnostic-string payload).
 QueryResult dispatch(Opcode opcode, std::string_view payload, const QueryContext& context);
+
+/// The payload of every non-kOk answer: one diagnostic string.
+std::string encode_error_payload(std::string_view what);
 
 /// The diagnostic string carried by every non-kOk payload.
 std::string decode_error_payload(std::string_view payload);

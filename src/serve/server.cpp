@@ -69,12 +69,10 @@ struct Conn {
 };
 
 std::string error_frame(const FrameHeader& request, Status status, const std::string& what) {
-  util::BinaryWriter payload;
-  payload.write_string(what);
   FrameHeader response;
   response.kind = static_cast<std::uint16_t>(status);
   response.request_id = request.request_id;
-  return encode_frame(response, payload.bytes());
+  return encode_frame(response, encode_error_payload(what));
 }
 
 }  // namespace
@@ -103,6 +101,27 @@ std::vector<std::pair<std::string, std::uint64_t>> ServerStats::snapshot() const
     counters.emplace_back("fixture_store_invalid", disk.invalid);
   }
   return counters;
+}
+
+Server::Server(ServeOptions options) : options_(std::move(options)) {
+  CPS_ENSURE(::pipe(wake_pipe_) == 0, "cps_serve: pipe() failed");
+  set_nonblocking(wake_pipe_[0]);
+  set_nonblocking(wake_pipe_[1]);
+}
+
+Server::~Server() {
+  ::close(wake_pipe_[0]);
+  ::close(wake_pipe_[1]);
+}
+
+void Server::wake() {
+  const char byte = 1;
+  [[maybe_unused]] const auto n = ::write(wake_pipe_[1], &byte, 1);  // full: already awake
+}
+
+void Server::request_drain() {
+  drain_requested_.store(true, std::memory_order_relaxed);
+  wake();
 }
 
 void Server::run() {
@@ -154,12 +173,6 @@ void Server::run() {
     listen_fds.push_back(tcp_fd);
   }
 
-  // --- self-pipe: workers wake the poll thread on completion ----------
-  int wake_pipe[2] = {-1, -1};
-  CPS_ENSURE(::pipe(wake_pipe) == 0, "cps_serve: pipe() failed");
-  set_nonblocking(wake_pipe[0]);
-  set_nonblocking(wake_pipe[1]);
-
   // --- shared worker state --------------------------------------------
   std::mutex mu;
   std::condition_variable cv;
@@ -183,9 +196,8 @@ void Server::run() {
       QueryResult result;
       if (request->cancel.load(std::memory_order_relaxed)) {
         // Deadline passed while queued: answer without running anything.
-        util::BinaryWriter payload;
-        payload.write_string("deadline expired before the query started");
-        result = QueryResult{Status::kDeadlineExceeded, payload.take()};
+        result = {Status::kDeadlineExceeded,
+                  encode_error_payload("deadline expired before the query started")};
       } else {
         QueryContext context;
         context.cancel = &request->cancel;
@@ -203,8 +215,7 @@ void Server::run() {
         inflight.erase(std::find(inflight.begin(), inflight.end(), request));
       }
       stats_.requests_completed.fetch_add(1, std::memory_order_relaxed);
-      const char byte = 1;
-      [[maybe_unused]] const auto n = ::write(wake_pipe[1], &byte, 1);
+      wake();
     }
   };
   std::vector<std::thread> workers;
@@ -398,7 +409,7 @@ void Server::run() {
       pfds.push_back(pollfd{fd, POLLIN, 0});
       pfd_conns.push_back(nullptr);
     }
-    pfds.push_back(pollfd{wake_pipe[0], POLLIN, 0});
+    pfds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
     pfd_conns.push_back(nullptr);
     for (auto& [id, conn] : conns) {
       if (conn->dead) continue;
@@ -424,9 +435,9 @@ void Server::run() {
       const pollfd& pfd = pfds[i];
       if (pfd.revents == 0) continue;
 
-      if (pfd.fd == wake_pipe[0]) {
+      if (pfd.fd == wake_pipe_[0]) {
         char buf[256];
-        while (::read(wake_pipe[0], buf, sizeof(buf)) > 0) {
+        while (::read(wake_pipe_[0], buf, sizeof(buf)) > 0) {
         }
         continue;
       }
@@ -523,8 +534,6 @@ void Server::run() {
     if (!conn->dead && conn->fd >= 0) ::close(conn->fd);
   conns.clear();
   for (const int fd : listen_fds) ::close(fd);
-  ::close(wake_pipe[0]);
-  ::close(wake_pipe[1]);
   ::unlink(options_.socket_path.c_str());
   if (!options_.ready_file.empty()) ::unlink(options_.ready_file.c_str());
   serving_.store(false, std::memory_order_release);

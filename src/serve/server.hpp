@@ -105,7 +105,9 @@ struct ServerStats {
 /// run() blocks until a drain completes and is safe to call once.
 class Server {
  public:
-  explicit Server(ServeOptions options) : options_(std::move(options)) {}
+  /// Opens the wake pipe; throws cps::Error when that fails.
+  explicit Server(ServeOptions options);
+  ~Server();
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
@@ -116,8 +118,10 @@ class Server {
   void run();
 
   /// Programmatic drain trigger (tests, in-process benches): same
-  /// semantics as the drain flag rising.
-  void request_drain() { drain_requested_.store(true, std::memory_order_relaxed); }
+  /// semantics as the drain flag rising, but it also wakes the poll loop,
+  /// so an idle server starts draining at once.  Callable from any
+  /// thread, before, during or after run().
+  void request_drain();
 
   /// True from the moment the sockets are accepting (after the ready
   /// file, when one is configured) until run() returns.
@@ -127,9 +131,15 @@ class Server {
   const ServeOptions& options() const { return options_; }
 
  private:
+  void wake();
+
   ServeOptions options_;
   ServerStats stats_;
   std::atomic<bool> drain_requested_{false};
+  /// Self-pipe waking the poll loop (worker completions, request_drain).
+  /// Open for the Server's whole lifetime, so a late request_drain()
+  /// never writes into a closed or reused descriptor.
+  int wake_pipe_[2] = {-1, -1};
   std::atomic<bool> serving_{false};
 };
 

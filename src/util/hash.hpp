@@ -8,8 +8,8 @@
 // the hash and its 16-digit rendering must never change; the values are
 // pinned by tests/util_test.cpp and the suites of each user.
 //
-// Header-only so the byte loop inlines into FixtureKey::add, which runs
-// on every fixture lookup.
+// Header-only so the byte loop inlines into its callers (FixtureKey::str
+// hashes the key material once per fixture lookup).
 #pragma once
 
 #include <cstddef>
@@ -19,30 +19,14 @@
 
 namespace cps::util {
 
-/// Streaming FNV-1a 64: add() byte ranges in order, read value().
-class Fnv1a64 {
- public:
-  /// Mix `size` bytes at `data`.
-  void add(const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash_ ^= bytes[i];
-      hash_ *= 0x100000001b3ULL;  // FNV prime
-    }
-  }
-  void add(std::string_view bytes) { add(bytes.data(), bytes.size()); }
-
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;  // FNV offset basis
-};
-
-/// FNV-1a 64 of `bytes` in one call.
+/// FNV-1a 64 of `bytes`.
 inline std::uint64_t fnv1a64(std::string_view bytes) {
-  Fnv1a64 hash;
-  hash.add(bytes);
-  return hash.value();
+  std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV offset basis
+  for (const char byte : bytes) {
+    hash ^= static_cast<unsigned char>(byte);
+    hash *= 0x100000001b3ULL;  // FNV prime
+  }
+  return hash;
 }
 
 /// Write `value` as 16 lowercase hex digits, zero-padded, to out[0, 16).

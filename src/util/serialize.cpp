@@ -5,21 +5,11 @@
 
 namespace cps::util {
 
-namespace {
-
-/// Cap on any single length prefix: a corrupt file must fail with a
-/// SerializeError, not an out-of-memory attempt on a garbage length.
-constexpr std::uint64_t kMaxElementCount = std::uint64_t{1} << 32;
-
-void append_u64_le(std::string& buffer, std::uint64_t value) {
+void BinaryWriter::write_u64(std::uint64_t value) {
   char bytes[8];
   for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>((value >> (8 * i)) & 0xFF);
-  buffer.append(bytes, sizeof(bytes));
+  buffer_.append(bytes, sizeof(bytes));
 }
-
-}  // namespace
-
-void BinaryWriter::write_u64(std::uint64_t value) { append_u64_le(buffer_, value); }
 
 void BinaryWriter::write_double(double value) {
   std::uint64_t bits = 0;
@@ -55,6 +45,14 @@ const unsigned char* BinaryReader::take(std::size_t count) {
   return ptr;
 }
 
+std::size_t BinaryReader::checked_count(std::uint64_t count, std::size_t element_bytes) const {
+  if (count > remaining() / element_bytes)
+    throw SerializeError("BinaryReader: count " + std::to_string(count) + " of " +
+                         std::to_string(element_bytes) + "-byte elements exceeds the " +
+                         std::to_string(remaining()) + " remaining bytes");
+  return static_cast<std::size_t>(count);
+}
+
 std::uint64_t BinaryReader::read_u64() {
   const unsigned char* bytes = take(8);
   std::uint64_t value = 0;
@@ -70,36 +68,28 @@ double BinaryReader::read_double() {
 }
 
 std::string BinaryReader::read_string() {
-  const std::uint64_t size = read_u64();
-  if (size > remaining())
-    throw SerializeError("BinaryReader: string length " + std::to_string(size) +
-                         " exceeds remaining input");
-  const unsigned char* bytes = take(static_cast<std::size_t>(size));
-  return std::string(reinterpret_cast<const char*>(bytes), static_cast<std::size_t>(size));
+  const std::size_t size = checked_count(read_u64(), 1);
+  const unsigned char* bytes = take(size);
+  return std::string(reinterpret_cast<const char*>(bytes), size);
 }
 
 linalg::Vector BinaryReader::read_vector() {
-  const std::uint64_t size = read_u64();
-  if (size > kMaxElementCount || size * 8 > remaining())
-    throw SerializeError("BinaryReader: vector length " + std::to_string(size) +
-                         " exceeds remaining input");
-  linalg::Vector v(static_cast<std::size_t>(size));
+  linalg::Vector v(checked_count(read_u64(), 8));
   double* data = v.data();
-  for (std::uint64_t i = 0; i < size; ++i) data[i] = read_double();
+  for (std::size_t i = 0; i < v.size(); ++i) data[i] = read_double();
   return v;
 }
 
 linalg::Matrix BinaryReader::read_matrix() {
   const std::uint64_t rows = read_u64();
   const std::uint64_t cols = read_u64();
-  if (rows > kMaxElementCount || cols > kMaxElementCount ||
-      (rows != 0 && (rows * cols) / rows != cols) || rows * cols > kMaxElementCount ||
-      rows * cols * 8 > remaining())
-    throw SerializeError("BinaryReader: matrix shape " + std::to_string(rows) + "x" +
-                         std::to_string(cols) + " exceeds remaining input");
+  // One count check over the entries; an overflowing product is too large.
+  const bool overflows = cols != 0 && rows > std::numeric_limits<std::uint64_t>::max() / cols;
+  const std::size_t count =
+      checked_count(overflows ? std::numeric_limits<std::uint64_t>::max() : rows * cols, 8);
   linalg::Matrix m(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
   double* data = m.data();
-  for (std::uint64_t i = 0; i < rows * cols; ++i) data[i] = read_double();
+  for (std::size_t i = 0; i < count; ++i) data[i] = read_double();
   return m;
 }
 

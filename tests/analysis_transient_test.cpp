@@ -57,22 +57,7 @@ TEST(TransientTest, ExcursionBoundArithmetic) {
   TransientGrowth g;
   g.peak_gain = 3.0;
   EXPECT_NEAR(excursion_bound(g, 0.1), 0.3, 1e-12);
-  EXPECT_NEAR(excursion_bound(g, 0.1, 0.2), 0.06, 1e-12);
   EXPECT_THROW(excursion_bound(g, -0.1), InvalidArgument);
-  EXPECT_THROW(excursion_bound(g, 0.1, 1.5), InvalidArgument);
-}
-
-TEST(TransientTest, ChatterFreeFactorInverseOfGain) {
-  Matrix a{{0.9, 2.0}, {0.0, 0.9}};
-  const TransientGrowth g = transient_growth(a);
-  const double factor = chatter_free_release_factor(a);
-  EXPECT_NEAR(factor, 1.0 / g.peak_gain, 1e-12);
-  // Releasing at factor * E_th keeps the excursion at or below E_th.
-  EXPECT_LE(excursion_bound(g, 0.1, factor), 0.1 + 1e-12);
-}
-
-TEST(TransientTest, NormalLoopAllowsFullThresholdRelease) {
-  EXPECT_NEAR(chatter_free_release_factor(Matrix::diagonal({0.7, 0.4})), 1.0, 1e-12);
 }
 
 TEST(TransientTest, RestrictedGrowthIgnoresHeldInputUnits) {

@@ -1,10 +1,9 @@
-// Unit and property tests for the discrete Lyapunov and Riccati solvers.
+// Unit and property tests for the discrete Riccati solvers.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "linalg/eigen.hpp"
-#include "linalg/lyapunov.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/riccati.hpp"
 #include "util/error.hpp"
@@ -12,7 +11,6 @@
 
 namespace {
 
-using cps::NumericalError;
 using cps::Rng;
 using namespace cps::linalg;
 
@@ -29,58 +27,6 @@ Matrix random_spd(Rng& rng, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j) m(i, j) = rng.uniform(-1, 1);
   return m * m.transpose() + Matrix::identity(n) * 0.1;
-}
-
-TEST(LyapunovTest, ScalarClosedForm) {
-  // a^2 x - x + q = 0 -> x = q / (1 - a^2).
-  const double a = 0.6, q = 2.0;
-  const Matrix x = solve_discrete_lyapunov(Matrix{{a}}, Matrix{{q}});
-  EXPECT_NEAR(x(0, 0), q / (1.0 - a * a), 1e-10);
-}
-
-TEST(LyapunovTest, ResidualVanishes) {
-  Rng rng(43);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 5));
-    const Matrix a = random_stable(rng, n);
-    const Matrix q = random_spd(rng, n);
-    const Matrix x = solve_discrete_lyapunov(a, q);
-    const Matrix residual = a.transpose() * x * a - x + q;
-    EXPECT_LT(residual.max_abs(), 1e-8) << "trial " << trial;
-  }
-}
-
-TEST(LyapunovTest, SmithAndDirectAgree) {
-  Rng rng(47);
-  for (int trial = 0; trial < 15; ++trial) {
-    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 4));
-    const Matrix a = random_stable(rng, n);
-    const Matrix q = random_spd(rng, n);
-    const Matrix x1 = solve_discrete_lyapunov(a, q);
-    const Matrix x2 = solve_discrete_lyapunov_direct(a, q);
-    EXPECT_TRUE(x1.approx_equal(x2, 1e-7)) << "trial " << trial;
-  }
-}
-
-TEST(LyapunovTest, SolutionIsPositiveSemidefiniteForPsdQ) {
-  Rng rng(53);
-  const Matrix a = random_stable(rng, 3);
-  const Matrix q = random_spd(rng, 3);
-  const Matrix x = solve_discrete_lyapunov(a, q);
-  // Symmetric and positive diagonal; eigenvalues of X all positive.
-  EXPECT_TRUE(x.approx_equal(x.transpose(), 1e-9));
-  for (const auto& e : eigenvalues(x)) EXPECT_GT(e.real(), 0.0);
-}
-
-TEST(LyapunovTest, UnstableAThrowsInSmith) {
-  EXPECT_THROW(solve_discrete_lyapunov(Matrix{{1.1}}, Matrix{{1.0}}), NumericalError);
-}
-
-TEST(LyapunovTest, DirectWorksForMildlyUnstableA) {
-  // The Kronecker solve only needs 1 - a^2 != 0.
-  const double a = 1.2, q = 1.0;
-  const Matrix x = solve_discrete_lyapunov_direct(Matrix{{a}}, Matrix{{q}});
-  EXPECT_NEAR(x(0, 0), q / (1.0 - a * a), 1e-10);
 }
 
 TEST(DareTest, ScalarClosedForm) {

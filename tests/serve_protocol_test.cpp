@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "analysis/slot_allocation.hpp"
 #include "experiments/fixtures.hpp"
@@ -142,6 +144,28 @@ TEST(ServeProtocolTest, PayloadCodecsRoundTrip) {
     EXPECT_EQ(back.counters[1].first, "requests_shed");
     EXPECT_EQ(back.counters[1].second, 2u);
   }
+}
+
+TEST(ServeProtocolTest, OversizedCountsAreSerializeErrors) {
+  // Each payload claims 2^40 elements in a few dozen bytes: decode must
+  // report an undecodable payload before it allocates anything.
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
+  const auto payload = [](std::vector<std::uint64_t> words) {
+    cps::util::BinaryWriter out;
+    for (const auto word : words) out.write_u64(word);
+    return out.take();
+  };
+  const auto decode_throws = [](const std::string& bytes, auto decode) {
+    cps::util::BinaryReader in(bytes);
+    EXPECT_THROW(decode(in), cps::util::SerializeError);
+  };
+  const auto allocate = [](cps::util::BinaryReader& in) { AllocateResponse::decode(in); };
+  decode_throws(payload({1, 2, 1, kHuge}), allocate);     // slots
+  decode_throws(payload({1, 2, 1, 1, kHuge}), allocate);  // names in slot 0
+  decode_throws(payload({1, kHuge}),
+                [](cps::util::BinaryReader& in) { SchedCheckResponse::decode(in); });
+  decode_throws(payload({kHuge, 0}),
+                [](cps::util::BinaryReader& in) { StatsResponse::decode(in); });
 }
 
 TEST(ServeProtocolTest, DispatchEchoesPing) {

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -328,6 +330,23 @@ TEST(ServeServerTest, DrainFinishesInFlightAndRejectsNewRequests) {
   ClientOptions options;
   options.socket_path = daemon.socket_path();
   EXPECT_THROW(QueryClient{std::move(options)}, cps::Error);
+}
+
+// request_drain() wakes the poll loop: an idle server must drain at once
+// instead of sitting out its 100 ms poll timeout.
+TEST(ServeServerTest, IdleDrainDoesNotWaitForThePollTimeout) {
+  std::vector<double> drain_ms;
+  for (int i = 0; i < 5; ++i) {
+    TestServer daemon{ServeOptions{}};
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));  // parked in poll()
+    const auto start = std::chrono::steady_clock::now();
+    daemon.drain_and_join();
+    drain_ms.push_back(
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+            .count());
+  }
+  std::sort(drain_ms.begin(), drain_ms.end());
+  EXPECT_LT(drain_ms[2], 30.0) << "median idle drain " << drain_ms[2] << " ms";
 }
 
 // Process-level drain: a forked daemon receiving a real SIGTERM must

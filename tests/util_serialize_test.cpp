@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -183,6 +185,74 @@ TEST(SerializeTest, OversizedMatrixShapeThrows) {
   writer.write_u64(1u << 20);  // cols: rows*cols overflows any sane payload
   BinaryReader reader(writer.bytes());
   EXPECT_THROW(reader.read_matrix(), SerializeError);
+}
+
+TEST(SerializeTest, OversizedContainerCountThrowsBeforeAllocating) {
+  // 2^40 elements against 8 remaining bytes: the one count check must
+  // reject the count before reserve() runs (which would throw
+  // std::length_error or std::bad_alloc, or allocate terabytes).
+  BinaryWriter writer;
+  writer.write_u64(std::uint64_t{1} << 40);
+  writer.write_u64(7);
+  const auto read_throws = [&](auto read) {
+    BinaryReader reader(writer.bytes());
+    EXPECT_THROW(read(reader), SerializeError);
+  };
+  read_throws([](BinaryReader& in) { in.read<std::vector<std::string>>(); });
+  read_throws([](BinaryReader& in) { in.read<std::vector<std::uint64_t>>(); });
+  read_throws([](BinaryReader& in) {
+    in.read<std::vector<std::pair<std::string, std::uint64_t>>>();
+  });
+  read_throws([](BinaryReader& in) { in.read<cps::linalg::Vector>(); });
+}
+
+enum class Shade : std::uint64_t { kLight = 3, kDark = 9 };
+
+/// An aggregate with its own field list (in a different order than its
+/// members) nesting every kind the walk knows.
+struct Sample {
+  std::vector<std::pair<std::string, double>> tags;
+  Shade shade = Shade::kLight;
+  std::complex<double> pole;
+  cps::linalg::Matrix gain;
+  std::uint64_t id = 0;
+
+  template <typename Io>
+  void fields(Io& io) { io(id, shade, pole, gain, tags); }
+};
+
+TEST(SerializeTest, FieldListWritesItsFieldsInOrderAndReadsThemBack) {
+  Sample sample;
+  sample.tags = {{"a", -0.0}, {"bc", 2.5}};
+  sample.shade = Shade::kDark;
+  sample.pole = {0.25, -0.75};
+  sample.gain = cps::linalg::Matrix{{1.0, 2.0}};
+  sample.id = 42;
+
+  BinaryWriter by_list;
+  by_list(sample);
+  BinaryWriter by_hand;  // the same layout spelled out primitive by primitive
+  by_hand.write_u64(42);
+  by_hand.write_u64(9);
+  by_hand.write_double(0.25);
+  by_hand.write_double(-0.75);
+  by_hand.write_matrix(sample.gain);
+  by_hand.write_u64(2);
+  by_hand.write_string("a");
+  by_hand.write_double(-0.0);
+  by_hand.write_string("bc");
+  by_hand.write_double(2.5);
+  EXPECT_EQ(by_list.bytes(), by_hand.bytes());
+
+  BinaryReader reader(by_list.bytes());
+  const Sample back = reader.read_all<Sample>();
+  EXPECT_EQ(back.id, 42u);
+  EXPECT_EQ(back.shade, Shade::kDark);
+  EXPECT_EQ(back.pole, sample.pole);
+  EXPECT_EQ(back.gain.data()[1], 2.0);
+  ASSERT_EQ(back.tags.size(), 2u);
+  EXPECT_EQ(back.tags[1].first, "bc");
+  EXPECT_EQ(bits_of(back.tags[0].second), bits_of(-0.0));
 }
 
 TEST(SerializeTest, ExpectEndCatchesTrailingBytes) {
