@@ -159,7 +159,7 @@ FixtureKey design_key(const control::StateSpace& plant,
 std::shared_ptr<const control::HybridLoopDesign> cached_design(
     const control::StateSpace& plant, const control::PolePlacementLoopSpec& spec) {
   return FixtureHandle<control::HybridLoopDesign>(design_key(plant, spec))
-      .with_codec({kDesignFormat})
+      .with_codec(kDesignFormat)
       .get([&] { return control::design_hybrid_loops(plant, spec); });
 }
 
@@ -173,7 +173,7 @@ std::shared_ptr<const sim::DwellWaitCurve> cached_curve(const control::HybridLoo
   FixtureKey key("dwell_wait_curve");
   key.add(design.a_et).add(design.a_tt).add(std::uint64_t{design.state_dim});
   key.add(x0_aug).add(design.sys_tt.sampling_period()).add(threshold);
-  return FixtureHandle<sim::DwellWaitCurve>(key).with_codec({kCurveFormat}).get([&] {
+  return FixtureHandle<sim::DwellWaitCurve>(key).with_codec(kCurveFormat).get([&] {
     sim::SwitchedLinearSystem sys(design.a_et, design.a_tt, design.state_dim);
     sim::DwellWaitSweepOptions opts;
     opts.settling.threshold = threshold;
@@ -199,7 +199,7 @@ std::shared_ptr<const sim::DwellWaitCurve> measure_synthesized_curve(
 std::shared_ptr<const std::vector<plants::SynthesizedApp>> paper_fleet() {
   // Nullary synthesis: the content is the (versioned) recipe itself.
   return FixtureHandle<std::vector<plants::SynthesizedApp>>("fleet_synthesis/table1-v1")
-      .with_codec({kFleetFormat})
+      .with_codec(kFleetFormat)
       .get([] { return plants::synthesize_fleet(); });
 }
 
@@ -208,7 +208,7 @@ std::shared_ptr<const std::vector<plants::SynthesizedApp>> extra_fleet(std::size
   FixtureKey key("fleet_synthesis");
   key.add("extras-v1").add(std::uint64_t{count}).add(seed);
   return FixtureHandle<std::vector<plants::SynthesizedApp>>(key)
-      .with_codec({kFleetFormat})
+      .with_codec(kFleetFormat)
       .get([&] { return plants::synthesize_extra_fleet(count, seed); });
 }
 
@@ -229,7 +229,7 @@ std::shared_ptr<const std::vector<plants::SchedFleet>> sched_fleet_batch(
   for (const auto family : spec.families) key.add(std::string_view(plants::family_name(family)));
   key.add(std::uint64_t{trials}).add(batch_seed);
   return FixtureHandle<std::vector<plants::SchedFleet>>(key)
-      .with_codec({kSchedFleetBatchFormat})
+      .with_codec(kSchedFleetBatchFormat)
       .get([&] {
         std::vector<plants::SchedFleet> batch;
         batch.reserve(trials);

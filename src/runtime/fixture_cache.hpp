@@ -8,7 +8,7 @@
 // any ThreadPool worker) shares the immutable result.  Every lookup goes
 // through one entry point:
 //
-//   FixtureHandle<T>(key)[.with_codec(codec)].get(compute[, cache])
+//   FixtureHandle<T>(key)[.with_codec(format)].get(compute[, cache])
 //
 // Keys are content-addressed: FixtureKey hashes every input that
 // determines the fixture (matrices entry by entry, scalars bit by bit),
@@ -23,10 +23,10 @@
 
 #include <cstddef>
 #include <cstdio>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <typeindex>
 #include <unordered_map>
@@ -72,26 +72,6 @@ class FixtureKey {
   util::BinaryWriter material_;
 };
 
-/// Binary codec for one fixture type: how the two-level cache persists a
-/// T to the on-disk store and restores it bit-identically.
-///
-/// `format` is the versioned layout tag (e.g. "dwell_wait_curve/v1");
-/// bump the version whenever the layout changes, so stale files are
-/// recomputed instead of misread.  encode/decode default to T's one
-/// field list (util/serialize.hpp); decode(encode(x)) must reproduce x
-/// EXACTLY — every double via its IEEE-754 bit pattern — because
-/// experiment outputs must not depend on whether a fixture came from
-/// compute or from disk.
-template <typename T>
-struct FixtureCodec {
-  std::string format;
-  std::function<void(const T&, util::BinaryWriter&)> encode =
-      [](const T& value, util::BinaryWriter& out) { out(value); };
-  std::function<T(util::BinaryReader&)> decode = [](util::BinaryReader& in) {
-    return in.read<T>();
-  };
-};
-
 template <typename T>
 class FixtureHandle;
 
@@ -110,9 +90,15 @@ class FixtureHandle;
 /// is persisted for the next process.  Without a store (or for
 /// codec-less requests) it is a memory-only cache.
 ///
+/// A codec is T's one field list (util/serialize.hpp) under a versioned
+/// format tag (e.g. "dwell_wait_curve/v1"): bump the version whenever
+/// the layout changes, so stale files are recomputed instead of misread.
+/// The walk reproduces every double from its IEEE-754 bit pattern, so a
+/// value decoded from disk is bit-identical to a fresh compute.
+///
 /// API: FixtureHandle<T> (below) is the single entry point — it binds
 /// the key (content-addressed FixtureKey or recipe-name string) and the
-/// optional codec once, and get() runs the lookup.
+/// optional format tag once, and get() runs the lookup.
 class FixtureCache {
  public:
   /// The singleton shared by every experiment in the process.
@@ -139,19 +125,16 @@ class FixtureCache {
   /// thread first tries the store, and persists what it computes.
   template <typename T, typename Fn>
   auto stored_compute(const std::string& key, const std::string& material,
-                      const FixtureCodec<T>& codec, Fn&& compute) {
-    return [this, key, material, codec, compute = std::forward<Fn>(compute)]() -> T {
+                      const std::string& format, Fn&& compute) {
+    return [this, key, material, format, compute = std::forward<Fn>(compute)]() -> T {
       const auto store = this->store();
       if (store) {
-        if (auto payload = store->load(key, codec.format, material)) {
+        if (auto payload = store->load(key, format, material)) {
           try {
-            util::BinaryReader reader(*payload);
-            T value = codec.decode(reader);
-            reader.expect_end();
-            return value;
+            return util::BinaryReader(*payload).read_all<T>();
           } catch (const std::exception& error) {
             // Truncation (SerializeError) or a value-invariant violation
-            // thrown by a constructor inside decode: either way the file
+            // thrown by a constructor inside the read: either way the file
             // is unusable — same warn-and-recompute contract as a failed
             // checksum, never a failed campaign.
             store->record_undecodable();
@@ -165,8 +148,8 @@ class FixtureCache {
       T value = compute();
       if (store) {
         util::BinaryWriter writer;
-        codec.encode(value, writer);
-        store->save(key, codec.format, material, writer.bytes());
+        writer(value);
+        store->save(key, format, material, writer.bytes());
       }
       return value;
     };
@@ -237,16 +220,16 @@ class FixtureCache {
 };
 
 /// The single fixture entry point: one handle binds WHAT identifies a
-/// fixture (key + material) and HOW it persists (optional codec); get()
+/// fixture (key + material) and HOW it persists (optional format tag); get()
 /// runs the two-level lookup.  Each combination of key kind and
 /// persistence is one constructor choice plus an optional with_codec(),
 /// and every lookup funnels through the same implementation:
 ///
 ///   auto fleet = FixtureHandle<Fleet>(key)         // content-addressed
-///                    .with_codec(fleet_codec())    // optional disk layer
+///                    .with_codec("fleet/v1")       // optional disk layer
 ///                    .get([] { return make(); });  // compute on miss
 ///
-/// Handles are cheap value types (a string, a hash, an optional codec);
+/// Handles are cheap value types (the key, its material, an optional tag);
 /// build them ad hoc at the call site.  get() defaults to the process
 /// singleton cache; tests pass their own FixtureCache.
 template <typename T>
@@ -260,11 +243,11 @@ class FixtureHandle {
   /// (versioned) name itself.
   explicit FixtureHandle(std::string key) : key_(std::move(key)), material_(key_) {}
 
-  /// Attach the persistence codec; without one the handle is memory-only
+  /// Persist through T's field list under the versioned layout tag
+  /// `format` (see FixtureCache); without one the handle is memory-only
   /// even when the cache has a store attached.
-  FixtureHandle& with_codec(FixtureCodec<T> codec) {
-    codec_ = std::move(codec);
-    has_codec_ = true;
+  FixtureHandle& with_codec(std::string format) {
+    format_ = std::move(format);
     return *this;
   }
 
@@ -275,10 +258,10 @@ class FixtureHandle {
   template <typename Fn>
   std::shared_ptr<const T> get(Fn&& compute,
                                FixtureCache& cache = FixtureCache::instance()) const {
-    if (has_codec_)
+    if (format_)
       return cache.get_or_compute_impl<T>(
           key_, material_,
-          cache.stored_compute<T>(key_, material_, codec_, std::forward<Fn>(compute)));
+          cache.stored_compute<T>(key_, material_, *format_, std::forward<Fn>(compute)));
     return cache.get_or_compute_impl<T>(key_, material_, std::forward<Fn>(compute));
   }
 
@@ -288,8 +271,7 @@ class FixtureHandle {
  private:
   std::string key_;
   std::string material_;
-  FixtureCodec<T> codec_;
-  bool has_codec_ = false;
+  std::optional<std::string> format_;  ///< codec tag; empty: memory-only
 };
 
 }  // namespace cps::runtime

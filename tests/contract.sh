@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Determinism contracts of the cps_run driver, run by ctest under the
-# "contract" label (`ctest -L contract`).  One contract per subcommand:
+# Determinism contract of the cps_run driver, run by ctest under the
+# "contract" label (`ctest -L contract`):
 #
-#   contract.sh jobs CPS_RUN WORKDIR EXPERIMENT...
-#       Every CSV the experiments write at --jobs 1 equals, byte for
-#       byte, the one they write at --jobs 4.  The *_times.csv
-#       wall-clock sidecars are exempt from the contract.
+#   contract.sh CPS_RUN WORKDIR EXPERIMENT...
+#
+# Every CSV each experiment writes at --jobs 1 equals, byte for byte,
+# the one it writes at --jobs 4.  The *_times.csv wall-clock sidecars
+# are exempt, so each experiment must write at least one other CSV.
 set -euo pipefail
 
 run() {  # run LOG CMD...: quiet unless the command fails
@@ -18,29 +19,27 @@ run() {  # run LOG CMD...: quiet unless the command fails
   fi
 }
 
-jobs_identity() {
-  local cps_run=$1 work=$2
-  shift 2
-  rm -rf "$work"
-  mkdir -p "$work"
-  run "$work/j1.log" "$cps_run" "$@" --jobs 1 --csv "$work/j1"
-  run "$work/j4.log" "$cps_run" "$@" --jobs 4 --csv "$work/j4"
-  for experiment in "$@"; do
-    compgen -G "$work/j1/${experiment}*.csv" > /dev/null ||
-      { echo "contract: $experiment wrote no CSV" >&2; exit 1; }
-  done
-  diff <(ls "$work/j1") <(ls "$work/j4")
-  local compared=0 csv name
-  for csv in "$work"/j1/*.csv; do
+cps_run=$1 work=$2
+shift 2
+rm -rf "$work"
+mkdir -p "$work"
+total=0
+for experiment in "$@"; do
+  # One directory per experiment and job count, so every CSV is
+  # attributed to the experiment that wrote it.
+  j1=$work/$experiment/j1 j4=$work/$experiment/j4
+  mkdir -p "$work/$experiment"
+  run "$j1.log" "$cps_run" "$experiment" --jobs 1 --csv "$j1"
+  run "$j4.log" "$cps_run" "$experiment" --jobs 4 --csv "$j4"
+  diff <(ls "$j1") <(ls "$j4")
+  compared=0
+  for csv in "$j1"/*.csv; do
     name=${csv##*/}
-    [[ $name == *_times.csv ]] && continue
-    cmp "$csv" "$work/j4/$name"
+    [[ -f $csv && $name != *_times.csv ]] || continue
+    cmp "$csv" "$j4/$name"
     compared=$((compared + 1))
   done
-  echo "contract jobs: $compared CSVs byte-identical at --jobs 1 and --jobs 4"
-}
-
-case "${1:-}" in
-  jobs) shift; jobs_identity "$@" ;;
-  *) echo "usage: contract.sh jobs CPS_RUN WORKDIR EXPERIMENT..." >&2; exit 2 ;;
-esac
+  ((compared > 0)) || { echo "contract: $experiment wrote no CSV to compare" >&2; exit 1; }
+  total=$((total + compared))
+done
+echo "contract: $total CSVs byte-identical at --jobs 1 and --jobs 4"

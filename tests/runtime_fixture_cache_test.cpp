@@ -33,7 +33,6 @@
 namespace {
 
 using cps::runtime::FixtureCache;
-using cps::runtime::FixtureCodec;
 using cps::runtime::FixtureHandle;
 using cps::runtime::FixtureKey;
 using cps::runtime::FixtureStore;
@@ -188,14 +187,9 @@ struct TempStoreDir {
 };
 std::atomic<int> TempStoreDir::counter{0};
 
-/// Codec used by the store tests: a double persisted via its exact bit
-/// pattern (what every real codec does field by field).
-FixtureCodec<double> double_codec() {
-  return FixtureCodec<double>{
-      "test_double/v1",
-      [](const double& value, cps::util::BinaryWriter& out) { out.write_double(value); },
-      [](cps::util::BinaryReader& in) { return in.read_double(); }};
-}
+/// Codec tag used by the store tests: a double persisted via its exact
+/// bit pattern.
+constexpr char kDoubleFormat[] = "test_double/v1";
 
 std::uint64_t bits_of(double value) {
   std::uint64_t bits = 0;
@@ -226,7 +220,7 @@ TEST(FixtureStoreTest, ColdMissComputesAndWritesTheFile) {
   FixtureKey key("store_cold");
   key.add(1.25);
   int computes = 0;
-  auto value = FixtureHandle<double>(key).with_codec(double_codec()).get(
+  auto value = FixtureHandle<double>(key).with_codec(kDoubleFormat).get(
       [&] {
         ++computes;
         return 0.1 + 0.2;  // not exactly 0.3: the bits must survive as-is
@@ -252,7 +246,7 @@ TEST(FixtureStoreTest, WarmHitSkipsComputeAndIsBitIdentical) {
   {
     FixtureCache first_process;
     first_process.set_store(std::make_shared<FixtureStore>(dir.path));
-    FixtureHandle<double>(key).with_codec(double_codec()).get([&] { return expected; },
+    FixtureHandle<double>(key).with_codec(kDoubleFormat).get([&] { return expected; },
                                                               first_process);
   }
 
@@ -261,7 +255,7 @@ TEST(FixtureStoreTest, WarmHitSkipsComputeAndIsBitIdentical) {
   // running compute, and with the exact bit pattern.
   FixtureCache second_process;
   second_process.set_store(std::make_shared<FixtureStore>(dir.path));
-  auto value = FixtureHandle<double>(key).with_codec(double_codec()).get(
+  auto value = FixtureHandle<double>(key).with_codec(kDoubleFormat).get(
       [&]() -> double {
         ADD_FAILURE() << "warm store hit must not recompute";
         return 0.0;
@@ -281,7 +275,7 @@ TEST(FixtureStoreTest, CorruptedFileRecomputesLoudlyAndHeals) {
   {
     FixtureCache writer;
     writer.set_store(std::make_shared<FixtureStore>(dir.path));
-    FixtureHandle<double>(key).with_codec(double_codec()).get([] { return 42.0; }, writer);
+    FixtureHandle<double>(key).with_codec(kDoubleFormat).get([] { return 42.0; }, writer);
   }
 
   // Flip a payload byte mid-file: the checksum must reject it.
@@ -296,7 +290,7 @@ TEST(FixtureStoreTest, CorruptedFileRecomputesLoudlyAndHeals) {
   FixtureCache reader;
   reader.set_store(std::make_shared<FixtureStore>(dir.path));
   int computes = 0;
-  auto value = FixtureHandle<double>(key).with_codec(double_codec()).get(
+  auto value = FixtureHandle<double>(key).with_codec(kDoubleFormat).get(
       [&] {
         ++computes;
         return 42.0;
@@ -311,7 +305,7 @@ TEST(FixtureStoreTest, CorruptedFileRecomputesLoudlyAndHeals) {
   // The rewritten file serves the next process again.
   FixtureCache healed;
   healed.set_store(std::make_shared<FixtureStore>(dir.path));
-  auto again = FixtureHandle<double>(key).with_codec(double_codec()).get(
+  auto again = FixtureHandle<double>(key).with_codec(kDoubleFormat).get(
       [&]() -> double {
         ADD_FAILURE() << "healed store must hit";
         return 0.0;
@@ -327,7 +321,7 @@ TEST(FixtureStoreTest, TruncatedFileRecomputes) {
   {
     FixtureCache writer;
     writer.set_store(std::make_shared<FixtureStore>(dir.path));
-    FixtureHandle<double>(key).with_codec(double_codec()).get([] { return 7.0; }, writer);
+    FixtureHandle<double>(key).with_codec(kDoubleFormat).get([] { return 7.0; }, writer);
   }
   const std::string path = FixtureStore(dir.path).path_of(key.str());
   std::filesystem::resize_file(path, 10);  // shorter than the magic + trailer
@@ -335,7 +329,7 @@ TEST(FixtureStoreTest, TruncatedFileRecomputes) {
   FixtureCache reader;
   reader.set_store(std::make_shared<FixtureStore>(dir.path));
   int computes = 0;
-  auto value = FixtureHandle<double>(key).with_codec(double_codec()).get(
+  auto value = FixtureHandle<double>(key).with_codec(kDoubleFormat).get(
       [&] {
         ++computes;
         return 7.0;
@@ -381,12 +375,12 @@ TEST(FixtureStoreTest, UndecodablePayloadRecomputes) {
   {
     FixtureStore store(dir.path);
     // Valid container, 3-byte payload — not a valid double encoding.
-    store.save(key.str(), "test_double/v1", key.material(), "abc");
+    store.save(key.str(), kDoubleFormat, key.material(), "abc");
   }
   FixtureCache cache;
   cache.set_store(std::make_shared<FixtureStore>(dir.path));
   int computes = 0;
-  auto value = FixtureHandle<double>(key).with_codec(double_codec()).get(
+  auto value = FixtureHandle<double>(key).with_codec(kDoubleFormat).get(
       [&] {
         ++computes;
         return 11.0;
@@ -410,11 +404,11 @@ TEST(FixtureStoreTest, UsageReportsPerDomainFilesAndBytes) {
   for (int i = 0; i < 3; ++i) {
     FixtureKey key("usage_domain_a");
     key.add(static_cast<double>(i));
-    FixtureHandle<double>(key).with_codec(double_codec()).get([&] { return i * 1.5; }, cache);
+    FixtureHandle<double>(key).with_codec(kDoubleFormat).get([&] { return i * 1.5; }, cache);
   }
   FixtureKey key_b("usage_domain_b");
   key_b.add(9.0);
-  FixtureHandle<double>(key_b).with_codec(double_codec()).get([&] { return 9.0; }, cache);
+  FixtureHandle<double>(key_b).with_codec(kDoubleFormat).get([&] { return 9.0; }, cache);
 
   const auto usage = cache.store()->usage();
   ASSERT_EQ(usage.size(), 2u);  // sorted by domain name
@@ -436,7 +430,7 @@ TEST(FixtureStoreTest, GcEvictsLeastRecentlyUsedFirstUntilUnderCap) {
     for (int i = 0; i < 4; ++i) {
       FixtureKey key("gc_domain");
       key.add(static_cast<double>(i));
-      FixtureHandle<double>(key).with_codec(double_codec()).get([&] { return i * 2.0; },
+      FixtureHandle<double>(key).with_codec(kDoubleFormat).get([&] { return i * 2.0; },
                                                                 writer);
       paths.push_back(writer.store()->path_of(key.str()));
     }
@@ -474,7 +468,7 @@ TEST(FixtureStoreTest, GcNeverEvictsFilesTouchedByTheCurrentRun) {
   cache.set_store(std::make_shared<FixtureStore>(dir.path));
   FixtureKey key("gc_inuse");
   key.add(1.0);
-  FixtureHandle<double>(key).with_codec(double_codec()).get([&] { return 1.0; }, cache);
+  FixtureHandle<double>(key).with_codec(kDoubleFormat).get([&] { return 1.0; }, cache);
   const std::string path = cache.store()->path_of(key.str());
 
   // Cap 0 would evict everything — but this process wrote the file, so
@@ -489,7 +483,7 @@ TEST(FixtureStoreTest, GcNeverEvictsFilesTouchedByTheCurrentRun) {
   // over a fresh store instance loads the file, then gc spares it.
   FixtureCache reader;
   reader.set_store(std::make_shared<FixtureStore>(dir.path));
-  FixtureHandle<double>(key).with_codec(double_codec()).get(
+  FixtureHandle<double>(key).with_codec(kDoubleFormat).get(
       [&]() -> double {
         ADD_FAILURE() << "warm hit expected";
         return 0.0;

@@ -189,8 +189,9 @@ TEST(SerializeTest, OversizedMatrixShapeThrows) {
 
 TEST(SerializeTest, OversizedContainerCountThrowsBeforeAllocating) {
   // 2^40 elements against 8 remaining bytes: the one count check must
-  // reject the count before reserve() runs (which would throw
-  // std::length_error or std::bad_alloc, or allocate terabytes).
+  // reject the count before anything is allocated (allocating the
+  // claimed count would throw std::length_error or std::bad_alloc, or
+  // take terabytes).
   BinaryWriter writer;
   writer.write_u64(std::uint64_t{1} << 40);
   writer.write_u64(7);
