@@ -33,10 +33,11 @@
 // Element counts.  Every count the reader meets — string length, Vector
 // size, Matrix entries, vector<T> count — passes one check before
 // anything is allocated: a count larger than the remaining bytes is a
-// SerializeError.  A vector<T> then grows as its elements are read
-// instead of reserving the claimed count, so a corrupt or hostile count
-// can only make the reader allocate in proportion to the bytes it has
-// actually consumed.
+// SerializeError.  A vector<T> counts its elements at 8 bytes each, the
+// least any element the walk knows takes (no field list is empty), so
+// it reserves at most one element per 8 remaining bytes: a corrupt or
+// hostile count can never make the reader allocate more than a small
+// multiple of its input.
 //
 // BinaryReader throws cps::SerializeError on any truncation or malformed
 // count, which the fixture store maps to "corrupt file: recompute
@@ -252,8 +253,9 @@ void BinaryReader::get(T& value) {
   } else if constexpr (detail::IsPair<T>::value) {
     (*this)(value.first, value.second);
   } else if constexpr (detail::IsVector<T>::value) {
-    const std::size_t count = checked_count(read_u64(), 1);
+    const std::size_t count = checked_count(read_u64(), 8);
     value.clear();
+    value.reserve(count);
     for (std::size_t i = 0; i < count; ++i) value.push_back(read<typename T::value_type>());
   } else if constexpr (detail::ReadsByConstructor<T>::value) {
     value = Layout<T>::read(*this);
