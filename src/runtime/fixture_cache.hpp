@@ -19,9 +19,17 @@
 // immutable (shared_ptr<const T>), which is what makes sharing across
 // SweepRunner tasks safe and keeps the determinism contract intact: a
 // cache hit returns the very object a miss would have computed.
+//
+// The cache is bounded: it holds at most FixtureCache::kMaxEntries
+// computed fixtures and evicts the least recently used one past that, so
+// a long-lived process (cps_serve asked for ever new fleet seeds) stops
+// growing.  Eviction is invisible in every output: a later request for
+// an evicted key recomputes it — or loads it from the store — to a value
+// bit-identical to the one evicted, because the key content-addresses it.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <future>
 #include <memory>
@@ -84,6 +92,16 @@ class FixtureHandle;
 /// the exception to every waiter and releases the key so a later request
 /// can retry.
 ///
+/// Bounded, least recently used: at most kMaxEntries computed fixtures
+/// stay resident.  A hit moves its entry to the front of the recency
+/// order and a finished compute enters at the front; past the cap the
+/// entry at the back is evicted.  Entries still computing are never
+/// evicted (their waiters hold the future).  Evicted values are released
+/// outside the cache lock, and a shared_ptr already handed out stays
+/// valid.  A hit therefore returns the identical object a miss produced
+/// only while the entry is resident; after an eviction the key is
+/// computed (or loaded from the store) again, to an equal value.
+///
 /// Two-level operation: attach a FixtureStore (set_store) and
 /// codec-carrying requests consult the disk layer on a memory miss — a
 /// valid store file is decoded instead of computed, and a fresh compute
@@ -101,15 +119,22 @@ class FixtureHandle;
 /// optional format tag once, and get() runs the lookup.
 class FixtureCache {
  public:
+  /// Computed fixtures kept resident.  Every measured working set is far
+  /// smaller (a whole `cps_run all` holds 50), so only a process asked
+  /// for ever new keys — a daemon serving never-seen fleet seeds — evicts.
+  static constexpr std::size_t kMaxEntries = 4096;
+
   /// The singleton shared by every experiment in the process.
   static FixtureCache& instance();
 
-  /// Hit/miss/entry counters (monotonic within a process, except entries
-  /// which clear() resets).  A "miss" counts the requester that computes.
+  /// Hit/miss/entry/eviction counters (monotonic within a process, except
+  /// entries which clear() resets).  A "miss" counts the requester that
+  /// computes.
   struct Stats {
-    std::size_t hits = 0;     ///< requests served from the cache
-    std::size_t misses = 0;   ///< requests that computed the fixture
-    std::size_t entries = 0;  ///< fixtures currently stored
+    std::size_t hits = 0;       ///< requests served from the cache
+    std::size_t misses = 0;     ///< requests that computed the fixture
+    std::size_t entries = 0;    ///< fixtures stored or being computed
+    std::size_t evictions = 0;  ///< least recently used fixtures dropped at the cap
   };
 
   /// Attach (or detach, with nullptr) the persistent second level.  Set
@@ -159,43 +184,24 @@ class FixtureCache {
   std::shared_ptr<const T> get_or_compute_impl(const std::string& key,
                                                const std::string& material, Fn&& compute) {
     std::promise<std::shared_ptr<const void>> promise;
-    std::shared_future<std::shared_ptr<const void>> future;
-    bool owner = false;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto it = entries_.find(key);
-      if (it != entries_.end()) {
-        CPS_ENSURE(it->second.type == std::type_index(typeid(T)),
-                   "FixtureCache: type mismatch for key '" + key + "'");
-        CPS_ENSURE(it->second.material == material,
-                   "FixtureCache: digest collision for key '" + key + "'");
-        ++hits_;
-        future = it->second.future;
-      } else {
-        ++misses_;
-        future = promise.get_future().share();
-        entries_.emplace(key, Entry{future, std::type_index(typeid(T)), material});
-        owner = true;
-      }
-    }
-    if (!owner)  // the future resolves outside the lock: waiting cannot deadlock
-      return std::static_pointer_cast<const T>(future.get());
+    const Claim claimed = claim(key, material, std::type_index(typeid(T)), promise);
+    if (claimed.ticket == 0)  // the future resolves outside the lock: waiting cannot deadlock
+      return std::static_pointer_cast<const T>(claimed.future.get());
+    std::shared_ptr<const T> value;
     try {
-      auto value = std::shared_ptr<const T>(std::make_shared<T>(compute()));
-      promise.set_value(std::static_pointer_cast<const void>(value));
-      return value;
+      value = std::make_shared<T>(compute());
     } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        entries_.erase(key);  // release the key so a later request retries
-      }
+      release(key, claimed.ticket);  // so a later request retries
       promise.set_exception(std::current_exception());
       throw;
     }
+    promise.set_value(value);
+    publish(key, claimed.ticket);
+    return value;
   }
 
  public:
-  /// Snapshot of the hit/miss/entry counters.
+  /// Snapshot of the hit/miss/entry/eviction counters.
   Stats stats() const;
 
   /// Drop every entry (tests and long-lived embedders; experiments never
@@ -206,17 +212,58 @@ class FixtureCache {
   template <typename T>
   friend class FixtureHandle;
 
-  struct Entry {
-    std::shared_future<std::shared_ptr<const void>> future;
-    std::type_index type;
-    std::string material;  ///< full key bytes, re-checked on every hit
+  using Future = std::shared_future<std::shared_ptr<const void>>;
+
+  /// What a lookup got: the future to wait on and, for the one requester
+  /// that must compute, the ticket naming its entry (0 for everyone else).
+  struct Claim {
+    Future future;
+    std::uint64_t ticket = 0;
   };
 
+  /// Look `key` up.  A hit checks the type and the key material and
+  /// returns the entry's future; a miss inserts an entry computing under
+  /// `promise` and hands the caller its ticket.
+  Claim claim(const std::string& key, const std::string& material, std::type_index type,
+              std::promise<std::shared_ptr<const void>>& promise);
+
+  /// The owner's compute finished: its entry, if still the one holding
+  /// `key`, enters the recency order at the front, evicting the back
+  /// entry past kMaxEntries.
+  void publish(const std::string& key, std::uint64_t ticket);
+
+  /// The owner's compute threw: drop its entry, if still the one holding
+  /// `key` — never a newer requester's entry after a racing clear().
+  void release(const std::string& key, std::uint64_t ticket);
+
+  struct Entry;
+  using Slot = std::pair<const std::string, Entry>;  ///< a map element: key + entry
+
+  struct Entry {
+    Future future;
+    std::type_index type;
+    std::string material;  ///< full key bytes, re-checked on every hit
+    /// The computing requester's ticket (its miss ordinal, unique per
+    /// insertion); 0 once the value is ready and the entry is in the
+    /// recency order.
+    std::uint64_t ticket;
+    Slot* newer = nullptr;  ///< recency links among the ready entries
+    Slot* older = nullptr;
+  };
+  using Map = std::unordered_map<std::string, Entry>;
+
+  void link_front(Slot& slot);
+  void unlink(Slot& slot);
+
   mutable std::mutex mutex_;
-  std::unordered_map<std::string, Entry> entries_;
+  Map entries_;
+  Slot* newest_ = nullptr;  ///< front of the recency order
+  Slot* oldest_ = nullptr;  ///< back: the next eviction
+  std::size_t ready_ = 0;   ///< entries in the recency order
   std::shared_ptr<FixtureStore> store_;  ///< optional persistent level
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
+  std::size_t evictions_ = 0;
 };
 
 /// The single fixture entry point: one handle binds WHAT identifies a

@@ -26,6 +26,8 @@ analysis::MaxWaitMethod method_from(std::uint64_t method) {
 }
 
 plants::FleetSynthesisSpec to_spec(const FleetQuery& query) {
+  if (query.n_apps > kMaxFleetApps)
+    throw InvalidArgument("n_apps must be at most " + std::to_string(kMaxFleetApps));
   plants::FleetSynthesisSpec spec;
   spec.n_apps = static_cast<std::size_t>(query.n_apps);
   spec.target_utilization = query.target_utilization;

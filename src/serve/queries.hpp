@@ -7,7 +7,7 @@
 // larger than the payload).  Every handler is a pure function of its request
 // payload plus the resident fixture state — so a response computed by
 // the daemon is BYTE-IDENTICAL to one computed in-process by the same
-// dispatcher (the CI lifecycle job `cmp`s exactly that).  The expensive
+// dispatcher (the contract_daemon_local CTest `cmp`s exactly that).  The expensive
 // inputs (servo curve, paper fleet, loop designs, synthesized fleets)
 // come from the two-level runtime::FixtureCache, which is the point of
 // a resident server: the first request pays the compute (or a store
@@ -87,11 +87,16 @@ struct LoopDesignResponse {
   static LoopDesignResponse decode(util::BinaryReader& in);
 };
 
+/// Largest fleet a kAllocate / kSchedCheck query may ask for: the exact
+/// allocator's bitmask width.  A larger n_apps answers kBadRequest, so a
+/// client cannot make the daemon draw (and cache) an unbounded fleet.
+constexpr std::uint64_t kMaxFleetApps = 64;
+
 /// The fleet a kAllocate / kSchedCheck query runs on: the PR-6
 /// utilization-controlled generator's knobs plus a seed.  Drawn through
 /// experiments::sched_fleet_batch (trials = 1), so the draw is cached in
 /// memory AND in the persistent store — re-asking for the same fleet
-/// never redraws it.
+/// never redraws it.  n_apps is at most kMaxFleetApps.
 struct FleetQuery {
   std::uint64_t n_apps = 10;
   double target_utilization = 1.0;

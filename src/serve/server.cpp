@@ -93,6 +93,7 @@ std::vector<std::pair<std::string, std::uint64_t>> ServerStats::snapshot() const
   counters.emplace_back("fixture_cache_hits", cache.hits);
   counters.emplace_back("fixture_cache_misses", cache.misses);
   counters.emplace_back("fixture_cache_entries", cache.entries);
+  counters.emplace_back("fixture_cache_evictions", cache.evictions);
   if (const auto store = runtime::FixtureCache::instance().store()) {
     const auto disk = store->stats();
     counters.emplace_back("fixture_store_disk_hits", disk.disk_hits);

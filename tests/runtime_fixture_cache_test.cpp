@@ -14,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <iterator>
 #include <memory>
 #include <stdexcept>
@@ -154,6 +155,152 @@ TEST(FixtureCacheTest, FailedComputeReleasesTheKey) {
   // The key must be retryable after a failure.
   auto value = FixtureHandle<int>("test/failing").get([] { return 7; }, cache);
   EXPECT_EQ(*value, 7);
+}
+
+// ---------------------------------------------------------------------------
+// The entry cap: least recently used eviction
+
+/// Request the int fixture "lru/<i>" (value i) from `cache`, counting
+/// computes in `computes`.
+std::shared_ptr<const int> lru_fixture(FixtureCache& cache, int i, int& computes) {
+  return FixtureHandle<int>("lru/" + std::to_string(i))
+      .get(
+          [&computes, i] {
+            ++computes;
+            return i;
+          },
+          cache);
+}
+
+TEST(FixtureCacheTest, EvictsTheLeastRecentlyUsedPastTheCap) {
+  constexpr int kCap = static_cast<int>(FixtureCache::kMaxEntries);
+  FixtureCache cache;
+  int computes = 0;
+  for (int i = 0; i < kCap; ++i) lru_fixture(cache, i, computes);
+  const auto one = lru_fixture(cache, 1, computes);  // held across its eviction
+  EXPECT_EQ(cache.stats().entries, FixtureCache::kMaxEntries);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+
+  // Hits make 1 and then the oldest entry, 0, the most recent ones...
+  const auto hit = lru_fixture(cache, 0, computes);
+  EXPECT_EQ(computes, kCap);
+  // ...so the next insertions evict 2, 3, 4, one per insertion.
+  for (int i = kCap; i < kCap + 3; ++i) lru_fixture(cache, i, computes);
+  auto stats = cache.stats();
+  EXPECT_EQ(stats.entries, FixtureCache::kMaxEntries);
+  EXPECT_EQ(stats.evictions, 3u);
+  EXPECT_EQ(computes, kCap + 3);
+
+  // The recently hit entries survived: the same objects, no compute.
+  EXPECT_EQ(lru_fixture(cache, 0, computes).get(), hit.get());
+  EXPECT_EQ(lru_fixture(cache, 1, computes).get(), one.get());
+  EXPECT_EQ(computes, kCap + 3);
+  // An evicted key recomputes to an equal value, and its return evicts
+  // the next oldest (5).
+  const auto two = lru_fixture(cache, 2, computes);
+  EXPECT_EQ(*two, 2);
+  EXPECT_EQ(computes, kCap + 4);
+  stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 4u);
+  EXPECT_EQ(stats.entries, FixtureCache::kMaxEntries);
+  lru_fixture(cache, 6, computes);  // still resident
+  EXPECT_EQ(computes, kCap + 4);
+  lru_fixture(cache, 5, computes);  // evicted
+  EXPECT_EQ(computes, kCap + 5);
+
+  // An evicted value stays valid for whoever holds it.
+  for (int i = kCap + 3; i < 2 * kCap + 3; ++i) lru_fixture(cache, i, computes);
+  EXPECT_EQ(cache.stats().entries, FixtureCache::kMaxEntries);
+  EXPECT_EQ(*one, 1);
+  EXPECT_EQ(*two, 2);
+}
+
+TEST(FixtureCacheTest, InFlightEntryIsNeverEvicted) {
+  FixtureCache cache;
+  std::promise<void> started, finish;
+  std::shared_future<void> finish_signal = finish.get_future().share();
+  int slow_computes = 0;
+  std::thread owner([&] {
+    FixtureHandle<int>("lru/in-flight").get(
+        [&] {
+          ++slow_computes;
+          started.set_value();
+          finish_signal.wait();
+          return 42;
+        },
+        cache);
+  });
+  started.get_future().wait();
+
+  // Fill the cache twice over while the slow compute is running.
+  int computes = 0;
+  for (int i = 0; i < 2 * static_cast<int>(FixtureCache::kMaxEntries); ++i)
+    lru_fixture(cache, i, computes);
+  auto stats = cache.stats();
+  EXPECT_EQ(stats.evictions, FixtureCache::kMaxEntries);
+  EXPECT_EQ(stats.entries, FixtureCache::kMaxEntries + 1);  // the cap plus the in-flight one
+
+  // A second requester still joins the running compute.
+  std::shared_ptr<const int> joined;
+  std::thread waiter([&] {
+    joined = FixtureHandle<int>("lru/in-flight").get([] { return -1; }, cache);
+  });
+  while (cache.stats().hits == stats.hits) std::this_thread::yield();
+  finish.set_value();
+  owner.join();
+  waiter.join();
+  ASSERT_NE(joined, nullptr);
+  EXPECT_EQ(*joined, 42);
+  EXPECT_EQ(slow_computes, 1);
+
+  // The finished compute entered at the front, evicting one more.
+  stats = cache.stats();
+  EXPECT_EQ(stats.entries, FixtureCache::kMaxEntries);
+  EXPECT_EQ(stats.evictions, FixtureCache::kMaxEntries + 1);
+  EXPECT_EQ(*FixtureHandle<int>("lru/in-flight").get([] { return -1; }, cache), 42);
+}
+
+TEST(FixtureCacheTest, ThrowAfterARacingClearKeepsTheNewerEntry) {
+  FixtureCache cache;
+  std::promise<void> started, fail;
+  std::thread first([&] {
+    EXPECT_THROW(FixtureHandle<int>("race/key").get(
+                     [&]() -> int {
+                       started.set_value();
+                       fail.get_future().wait();
+                       throw std::runtime_error("first compute fails");
+                     },
+                     cache),
+                 std::runtime_error);
+  });
+  started.get_future().wait();
+  cache.clear();  // drops the first requester's in-flight entry
+
+  // A newer requester computes the key afresh and stays in flight...
+  std::promise<void> second_started, finish;
+  std::thread second([&] {
+    EXPECT_EQ(*FixtureHandle<int>("race/key").get(
+                  [&] {
+                    second_started.set_value();
+                    finish.get_future().wait();
+                    return 2;
+                  },
+                  cache),
+              2);
+  });
+  second_started.get_future().wait();
+  // ...while the first compute throws: that must release only its own
+  // entry, not the newer requester's.
+  fail.set_value();
+  first.join();
+  EXPECT_EQ(cache.stats().entries, 1u);
+  finish.set_value();
+  second.join();
+
+  const auto before = cache.stats();
+  EXPECT_EQ(*FixtureHandle<int>("race/key").get([] { return -1; }, cache), 2);
+  EXPECT_EQ(cache.stats().hits, before.hits + 1);
+  EXPECT_EQ(cache.stats().misses, before.misses);
 }
 
 TEST(FixtureCacheTest, DistinctKeysDistinctValues) {

@@ -208,6 +208,34 @@ TEST(ServeProtocolTest, DispatchMapsInvalidArgumentToBadRequest) {
   EXPECT_EQ(result.status, Status::kBadRequest);
 }
 
+// A fleet wider than the exact search's bitmask is a bad request for
+// every fleet opcode, before anything is drawn: 2^40 apps used to reach
+// the generator's reserve() and answer internal_error (std::bad_alloc).
+TEST(ServeProtocolTest, DispatchRejectsFleetsPastTheBitmaskWidth) {
+  const auto sched = [](std::uint64_t n_apps) {
+    SchedCheckRequest request;
+    request.fleet.n_apps = n_apps;
+    cps::util::BinaryWriter out;
+    request.encode(out);
+    return dispatch(Opcode::kSchedCheck, out.bytes(), QueryContext{});
+  };
+  const auto alloc = [](std::uint64_t n_apps) {
+    AllocateRequest request;
+    request.fleet.n_apps = n_apps;
+    cps::util::BinaryWriter out;
+    request.encode(out);
+    return dispatch(Opcode::kAllocate, out.bytes(), QueryContext{});
+  };
+  for (const std::uint64_t n_apps : {kMaxFleetApps + 1, std::uint64_t{1} << 40}) {
+    const auto sched_result = sched(n_apps);
+    EXPECT_EQ(sched_result.status, Status::kBadRequest) << n_apps;
+    EXPECT_NE(decode_error_payload(sched_result.payload).find("n_apps"), std::string::npos);
+    EXPECT_EQ(alloc(n_apps).status, Status::kBadRequest) << n_apps;
+  }
+  EXPECT_EQ(sched(kMaxFleetApps).status, Status::kOk);
+  EXPECT_EQ(alloc(kMaxFleetApps).status, Status::kOk);
+}
+
 TEST(ServeProtocolTest, DispatchMapsCancelToDeadlineExceeded) {
   std::atomic<bool> cancel{true};  // already expired when the worker starts
   QueryContext context;

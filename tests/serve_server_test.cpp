@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -200,17 +201,23 @@ TEST(ServeServerTest, DeadlineCutsARunningHandlerWithinTwiceTheBudget) {
 }
 
 TEST(ServeServerTest, DeadlineTaggedExactAllocationDeadlinesOutWhileQueued) {
+  using Clock = std::chrono::steady_clock;
   ServeOptions options;
   options.workers = 1;
   TestServer daemon{std::move(options)};
+  const auto expired_before = daemon.server().stats().deadline_expired.load();
 
   // Hold the single worker past the alloc request's deadline...
   auto busy = daemon.connect();
+  const auto ping_sent = Clock::now();
+  Clock::time_point ping_done;
   std::thread busy_thread([&] {
     EXPECT_EQ(busy.call(Opcode::kPing, encode_ping("busy", 300)).status(), Status::kOk);
+    ping_done = Clock::now();
   });
   while (daemon.server().stats().requests_admitted.load() < 1)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
   // ...so the deadline-tagged exact allocation expires in the queue and
   // is answered without the branch-and-bound ever starting.
@@ -222,14 +229,18 @@ TEST(ServeServerTest, DeadlineTaggedExactAllocationDeadlinesOutWhileQueued) {
   cps::util::BinaryWriter out;
   request.encode(out);
   auto client = daemon.connect();
-  const auto start = std::chrono::steady_clock::now();
-  const auto reply = client.call(Opcode::kAllocate, out.bytes(), 150);
-  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-  EXPECT_EQ(reply.status(), Status::kDeadlineExceeded);
-  EXPECT_LT(elapsed, 400);  // bounded by the busy ping, well under any B&B
+  const auto alloc_sent = Clock::now();
+  const auto reply = client.call(Opcode::kAllocate, out.bytes(), 100);
+  const auto alloc_done = Clock::now();
   busy_thread.join();
+
+  EXPECT_EQ(reply.status(), Status::kDeadlineExceeded);
+  EXPECT_EQ(decode_error_payload(reply.payload), "deadline expired before the query started");
+  EXPECT_EQ(daemon.server().stats().deadline_expired.load(), expired_before + 1);
+  // The worker answers the expired request as soon as the ping frees it:
+  // sent 50 ms after the ping, it waits less than the ping's own round
+  // trip, however slow a loaded host makes both.
+  EXPECT_LT(alloc_done - alloc_sent, ping_done - ping_sent);
 }
 
 // Satellite: the malformed-frame fuzz corpus.  None of these may crash,
@@ -432,6 +443,9 @@ TEST(ServeServerTest, CrashAtServeReadyLeavesTheStoreConsumable) {
   ASSERT_EQ(over_socket.status(), Status::kOk);
   ASSERT_EQ(local.status, Status::kOk);
   EXPECT_EQ(over_socket.payload, local.payload);
+  // Later tests serve without a store, and the store leaves no files.
+  cps::runtime::FixtureCache::instance().set_store(nullptr);
+  std::filesystem::remove_all(store_dir);
 }
 
 TEST(ServeServerTest, StatsReportTheLifecycleCounters) {
@@ -449,6 +463,60 @@ TEST(ServeServerTest, StatsReportTheLifecycleCounters) {
       EXPECT_GE(value, 2u);  // the ping and this very stats request
     }
   EXPECT_TRUE(saw_admitted);
+}
+
+/// One named counter from a kStats round trip.
+std::uint64_t stats_counter(QueryClient& client, const std::string& name) {
+  const auto reply = client.call(Opcode::kStats, "");
+  EXPECT_EQ(reply.status(), Status::kOk);
+  cps::util::BinaryReader in(reply.payload);
+  for (const auto& [counter, value] : StatsResponse::decode(in).counters)
+    if (counter == name) return value;
+  ADD_FAILURE() << "no counter " << name;
+  return 0;
+}
+
+// A daemon asked for ever new fleet seeds keeps at most kMaxEntries
+// fixtures: the never-seen draws evict each other, the hot fleets asked
+// in between stay resident, and an evicted draw asked again recomputes
+// to the identical answer.
+TEST(ServeServerTest, NeverSeenSeedsKeepTheFixtureCacheBounded) {
+  constexpr std::uint64_t kCap = cps::runtime::FixtureCache::kMaxEntries;
+  constexpr std::uint64_t kColdSeeds = 2 * kCap + 1;
+  constexpr std::uint64_t kColdSeedBase = 1000000;
+  constexpr std::uint64_t kHotSeeds = 4;
+  constexpr std::size_t kRechecked = 8;
+  auto& cache = cps::runtime::FixtureCache::instance();
+  cache.set_store(nullptr);  // memory only: a store would write a file per seed
+  cache.clear();
+  TestServer daemon{ServeOptions{}};
+  auto client = daemon.connect();
+  const auto sched = [&client](std::uint64_t seed) {
+    const auto reply = client.call(Opcode::kSchedCheck, encode_sched(4, 0.5, seed));
+    EXPECT_EQ(reply.status(), Status::kOk) << "seed " << seed;
+    return reply.payload;
+  };
+
+  std::vector<std::string> first_answers;
+  for (std::uint64_t i = 0; i < kColdSeeds; ++i) {
+    if (i % 64 == 0)
+      for (std::uint64_t hot = 1; hot <= kHotSeeds; ++hot) sched(hot);
+    const auto answer = sched(kColdSeedBase + i);
+    if (first_answers.size() < kRechecked) first_answers.push_back(answer);
+  }
+  EXPECT_EQ(stats_counter(client, "fixture_cache_entries"), kCap);
+  EXPECT_EQ(stats_counter(client, "fixture_cache_evictions"), kColdSeeds + kHotSeeds - kCap);
+
+  // The hot fleets were never evicted: asking again computes nothing.
+  const auto misses = stats_counter(client, "fixture_cache_misses");
+  for (std::uint64_t hot = 1; hot <= kHotSeeds; ++hot) sched(hot);
+  EXPECT_EQ(stats_counter(client, "fixture_cache_misses"), misses);
+
+  // The first cold draws were: they recompute, byte for byte.
+  for (std::size_t i = 0; i < kRechecked; ++i)
+    EXPECT_EQ(sched(kColdSeedBase + i), first_answers[i]) << "seed " << kColdSeedBase + i;
+  EXPECT_EQ(stats_counter(client, "fixture_cache_misses"), misses + kRechecked);
+  EXPECT_LE(stats_counter(client, "fixture_cache_entries"), kCap);
 }
 
 TEST(ServeServerTest, UnwritableReadyFileIsReportedAndServingContinues) {

@@ -6,7 +6,7 @@
 // digest of the raw payload bytes; `--local` runs the IDENTICAL query
 // dispatcher in-process instead of over the socket and prints the same
 // lines, so `cmp <(cps_query --socket S op) <(cps_query --local op)`
-// verifies daemon answers byte-for-byte (the CI lifecycle job does).
+// verifies daemon answers byte-for-byte (the contract_daemon_local CTest does).
 //
 // Load mode (--repeat N [--concurrency C]) drives the daemon with many
 // requests and prints one per-status summary line — the saturation

@@ -308,8 +308,9 @@ int run_experiments(const std::vector<const Experiment*>& experiments,
   const auto cache = cps::runtime::FixtureCache::instance().stats();
   std::fprintf(context.out, "[cps_run] simd: width=%zu isa=%s\n", cps::linalg::kSimdWidth,
                cps::linalg::simd_isa_name());
-  std::fprintf(context.out, "[cps_run] fixture cache: %zu hits, %zu misses, %zu entries\n",
-               cache.hits, cache.misses, cache.entries);
+  std::fprintf(context.out,
+               "[cps_run] fixture cache: %zu hits, %zu misses, %zu entries, %zu evictions\n",
+               cache.hits, cache.misses, cache.entries, cache.evictions);
   if (const auto store = cps::runtime::FixtureCache::instance().store()) {
     const auto disk = store->stats();
     std::fprintf(context.out,

@@ -7,6 +7,13 @@
 // docs/ARCHITECTURE.md (server section) for the frame protocol and the
 // admission-control / drain semantics.
 //
+// Memory stays bounded whatever clients send: the fixture cache keeps
+// the runtime::FixtureCache::kMaxEntries (4096) most recently used
+// fixtures, and a fleet query may ask for at most
+// serve::kMaxFleetApps (64) applications, so never-seen fleet seeds
+// evict each other instead of growing the process.  An attached
+// --fixture-store still grows by one file per never-seen fleet.
+//
 // Exit codes: 0 after a graceful drain (SIGTERM/SIGINT), 1 on startup
 // or serving failure, 2 on usage errors.
 //
