@@ -76,9 +76,10 @@ class DwellWaitModel {
   double max_violation(const sim::DwellWaitCurve& curve) const;
 
   /// Sound lower bound on inf over w >= wait of response(w).  Used by the
-  /// slot allocator's conflict-pair screen: once an application's wait in
-  /// any candidate slot is known to be at least `wait`, a bound above the
-  /// deadline proves the slot infeasible without running the analysis.
+  /// slot allocator's never-feasible screen (its conflict pairs and its
+  /// look-ahead): once an application's wait in any candidate slot is
+  /// known to be at least `wait`, a bound above the deadline proves the
+  /// slot infeasible without running the analysis.
   /// The base implementation returns `wait` (dwell times are
   /// non-negative), which is always sound; piecewise-linear models
   /// override it with the exact infimum over their breakpoints.

@@ -93,11 +93,11 @@ std::optional<double> max_wait_fixed_point(const std::vector<AppSchedParams>& sl
 /// higher-priority application (peak dwell xi_m, minimum inter-arrival r)
 /// during a wait of k, including the simultaneous critical-instant
 /// release (the max with 1).  Exposed so every evaluation of the
-/// recurrence — max_wait_fixed_point here, the allocator's feasibility
-/// engine and its conflict-pair lower bound
+/// recurrence — max_wait_fixed_point here and the allocator's feasibility
+/// engine, whose never-feasible screen takes the same waits
 /// (analysis/slot_allocation.cpp) — shares the IDENTICAL expression,
-/// same ceil epsilon and operation order; the conflict screen's
-/// soundness depends on that bitwise agreement.
+/// same ceil epsilon and operation order; the screen's soundness
+/// depends on that bitwise agreement.
 inline double fixed_point_interference_term(double k, double r, double xi_m) {
   return std::max(1.0, std::ceil(k / r - 1e-12)) * xi_m;
 }

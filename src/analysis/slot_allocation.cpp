@@ -54,10 +54,10 @@ struct AppFacts {
 };
 
 // The Eq. (5) recurrence term is shared with the semantic source:
-// fixed_point_interference_term (analysis/schedulability.hpp).  Both the
-// feasibility engine below and the conflict screen's pair recurrence
-// must evaluate the identical expression for the pair bound to stay a
-// true lower bound of the real feasibility math.
+// fixed_point_interference_term (analysis/schedulability.hpp).  The
+// feasibility verdict and the never-feasible screen below both take each
+// member's wait from member_wait(), so the screen's wait is a true lower
+// bound of the wait the verdict of any superset slot computes.
 
 class SlotFeasibility {
  public:
@@ -87,59 +87,156 @@ class SlotFeasibility {
   /// increasing = priority order).  Equals
   /// analyze_slot({apps[members]...}, method).all_schedulable bit for bit.
   bool feasible(const std::vector<std::size_t>& members) {
-    if (memo_.empty()) return compute(members.data(), members.size());
     std::uint64_t mask = 0;
     for (std::size_t i : members) mask |= std::uint64_t{1} << i;
-    return memoized(mask, [&] { return compute(members.data(), members.size()); });
+    return feasible(mask, members.data(), members.size());
   }
 
   /// Schedulability of the slot whose members are the set bits of `mask`
   /// (the search's form: no member list is materialized on a memo hit).
   bool feasible_mask(std::uint64_t mask) {
-    const auto from_mask = [this, mask] {
-      std::size_t members[64];
-      std::size_t count = 0;
-      for (std::uint64_t rest = mask; rest != 0; rest &= rest - 1)
-        members[count++] = static_cast<std::size_t>(__builtin_ctzll(rest));
-      return compute(members, count);
-    };
-    return memo_.empty() ? from_mask() : memoized(mask, from_mask);
+    if (!memo_.empty()) {
+      const std::uint64_t word = memo_[probe(mask)];
+      if (word != 0) return (word & kStateBits) == kFeasible;
+    }
+    const Members members(mask);
+    return feasible(mask, members.index, members.count);
+  }
+
+  /// True when no slot holding every member of `mask` (and any others) can
+  /// be feasible: some member's interference utilization reaches 1, or
+  /// its minimum response beyond its wait in `mask` misses its deadline.
+  /// Adding members only grows every member's blocking and interference
+  /// set, hence its wait, so the verdict holds for each superset.  Never
+  /// throws: a member whose fixed point does not converge claims nothing.
+  bool never_feasible_mask(std::uint64_t mask) {
+    if (memo_.empty()) {
+      const Members members(mask);
+      return never_feasible(members.index, members.count);
+    }
+    std::size_t at = probe(mask);
+    const std::uint64_t state = memo_[at] & kStateBits;
+    if (memo_[at] != 0 && state != kInfeasible) return state == kNeverFeasible;
+    const Members members(mask);
+    if (memo_[at] == 0) {
+      // The never-feasible verdict is kept beside the feasibility verdict,
+      // for infeasible sets only.  Where compute() would throw there is no
+      // verdict to keep it beside, so nothing is cached.
+      const Verdict verdict = evaluate(members.index, members.count);
+      if (verdict == Verdict::kDiverged) return never_feasible(members.index, members.count);
+      at = insert(at, mask, verdict == Verdict::kFeasible ? kFeasible : kInfeasible);
+      if (verdict == Verdict::kFeasible) return false;
+    }
+    const bool never = never_feasible(members.index, members.count);
+    memo_[at] |= never ? kNeverFeasible : kMayGrow;
+    return never;
+  }
+
+  /// never_feasible_mask's verdict on the slot holding `members`
+  /// (priority order), uncached.
+  bool never_feasible(const std::size_t* members, std::size_t count) const {
+    for (std::size_t i = 0; i < count; ++i) {
+      const MemberWait wait = member_wait(members, count, i);
+      if (wait.kind == MemberWait::kSaturated) return true;
+      if (wait.kind == MemberWait::kDiverged) continue;  // claims nothing
+      const AppFacts& f = facts_[members[i]];
+      if (f.model->min_response_from(wait.k_hat) > f.deadline + 1e-12) return true;
+    }
+    return false;
   }
 
  private:
-  /// The memo stores `mask << 1 | verdict`, so masks need a spare bit.
-  static constexpr std::size_t kMaxMemoApps = 63;
+  /// The members of a mask, in priority order.
+  struct Members {
+    explicit Members(std::uint64_t mask) {
+      for (std::uint64_t rest = mask; rest != 0; rest &= rest - 1)
+        index[count++] = static_cast<std::size_t>(__builtin_ctzll(rest));
+    }
+    std::size_t index[64] = {};
+    std::size_t count = 0;
+  };
+
+  /// A memo word is `mask << 2 | state`, so masks need two spare bits.
+  /// kInfeasible is 0 so that the never-feasible verdict can be OR-ed in.
+  static constexpr std::size_t kMaxMemoApps = 62;
+  static constexpr std::uint64_t kStateBits = 3;
+  static constexpr std::uint64_t kInfeasible = 0;     ///< never-feasible not yet known
+  static constexpr std::uint64_t kFeasible = 1;
+  static constexpr std::uint64_t kMayGrow = 2;        ///< infeasible, not never-feasible
+  static constexpr std::uint64_t kNeverFeasible = 3;  ///< infeasible, and every superset too
   static constexpr std::size_t kInitialMemoCapacity = 128;
 
-  /// Memoized verdict of `mask`: a flat open-addressing table (linear
-  /// probing, power-of-two capacity, load <= 3/4) whose words are
-  /// `mask << 1 | verdict`; 0 marks an empty word, as no mask is 0.
-  template <typename Compute>
-  bool memoized(std::uint64_t mask, Compute&& compute_verdict) {
+  /// Memoized verdict of `mask` (see feasible_mask for the lookup).
+  bool feasible(std::uint64_t mask, const std::size_t* members, std::size_t count) {
+    if (memo_.empty()) return compute(members, count);
     std::size_t at = probe(mask);
-    if (memo_[at] != 0) return (memo_[at] & 1) != 0;
-    const bool ok = compute_verdict();
+    if (memo_[at] == 0)
+      at = insert(at, mask, compute(members, count) ? kFeasible : kInfeasible);
+    return (memo_[at] & kStateBits) == kFeasible;
+  }
+
+  /// Store `mask` with `state` in the empty word `at` of a flat
+  /// open-addressing table (linear probing, power-of-two capacity, load
+  /// <= 3/4; 0 marks an empty word, as no mask is 0); returns the word's
+  /// index after any growth.
+  std::size_t insert(std::size_t at, std::uint64_t mask, std::uint64_t state) {
     if (4 * (memo_size_ + 1) > 3 * memo_.size()) {
       const std::vector<std::uint64_t> old = std::move(memo_);
       memo_.assign(2 * old.size(), 0);
       for (const std::uint64_t word : old)
-        if (word != 0) memo_[probe(word >> 1)] = word;
+        if (word != 0) memo_[probe(word >> 2)] = word;
       at = probe(mask);
     }
-    memo_[at] = mask << 1 | (ok ? 1 : 0);
+    memo_[at] = mask << 2 | state;
     ++memo_size_;
-    return ok;
+    return at;
   }
 
   /// Index of `mask`'s word, or of the empty word where it belongs.
   std::size_t probe(std::uint64_t mask) const {
     const std::size_t wrap = memo_.size() - 1;
     std::size_t at = static_cast<std::size_t>((mask * 0x9E3779B97F4A7C15ULL) >> 32) & wrap;
-    while (memo_[at] != 0 && (memo_[at] >> 1) != mask) at = (at + 1) & wrap;
+    while (memo_[at] != 0 && (memo_[at] >> 2) != mask) at = (at + 1) & wrap;
     return at;
   }
 
-  bool compute(const std::size_t* members, std::size_t count) const {
+  /// Maximum wait of members[i] in the slot holding members[0, count):
+  /// blocking a (Eq. 8), interference utilization m (Eq. 19), then the
+  /// closed-form bound or the exact fixed point of Eq. (5), identical to
+  /// max_wait_fixed_point.
+  struct MemberWait {
+    enum Kind { kWait, kSaturated, kDiverged } kind;  ///< saturated: m >= 1
+    double k_hat;
+  };
+  MemberWait member_wait(const std::size_t* members, std::size_t count, std::size_t i) const {
+    double a = 0.0;
+    for (std::size_t k = i + 1; k < count; ++k) a = std::max(a, facts_[members[k]].xi_m);
+    double m = 0.0;
+    for (std::size_t j = 0; j < i; ++j) m += facts_[members[j]].util;
+    if (m >= 1.0) return {MemberWait::kSaturated, 0.0};
+
+    if (method_ == MaxWaitMethod::kClosedFormBound) {
+      double a_prime = a;
+      for (std::size_t j = 0; j < i; ++j) a_prime += facts_[members[j]].xi_m;
+      return {MemberWait::kWait, a_prime / (1.0 - m)};
+    }
+    double k = a;
+    for (std::size_t j = 0; j < i; ++j) k += facts_[members[j]].xi_m;
+    for (int it = 0; it < 10000; ++it) {
+      double next = a;
+      for (std::size_t j = 0; j < i; ++j)
+        next +=
+            fixed_point_interference_term(k, facts_[members[j]].r, facts_[members[j]].xi_m);
+      if (std::fabs(next - k) <= 1e-12) return {MemberWait::kWait, next};
+      k = next;
+    }
+    return {MemberWait::kDiverged, 0.0};
+  }
+
+  enum class Verdict { kFeasible, kInfeasible, kDiverged };
+
+  /// compute()'s verdict, kDiverged where compute() throws.
+  Verdict evaluate(const std::size_t* members, std::size_t count) const {
     // Mirrors analyze_slot member by member — including evaluating every
     // member rather than stopping at the first failure, so an exception a
     // later member would raise (fixed-point non-convergence) surfaces
@@ -147,45 +244,23 @@ class SlotFeasibility {
     // analysis/schedulability.cpp (the semantic source of this math).
     bool all_ok = true;
     for (std::size_t i = 0; i < count; ++i) {
-      // Blocking a (Eq. 8): largest lower-priority max dwell.
-      double a = 0.0;
-      for (std::size_t k = i + 1; k < count; ++k) a = std::max(a, facts_[members[k]].xi_m);
-      // Interference utilization m (Eq. 19).
-      double m = 0.0;
-      for (std::size_t j = 0; j < i; ++j) m += facts_[members[j]].util;
-      if (m >= 1.0) return false;  // every lower-priority member fails too
-
-      double k_hat;
-      if (method_ == MaxWaitMethod::kClosedFormBound) {
-        double a_prime = a;
-        for (std::size_t j = 0; j < i; ++j) a_prime += facts_[members[j]].xi_m;
-        k_hat = a_prime / (1.0 - m);
-      } else {
-        // Exact fixed point of Eq. (5), identical to max_wait_fixed_point.
-        double k = a;
-        for (std::size_t j = 0; j < i; ++j) k += facts_[members[j]].xi_m;
-        bool converged = false;
-        for (int it = 0; it < 10000; ++it) {
-          double next = a;
-          for (std::size_t j = 0; j < i; ++j)
-            next += fixed_point_interference_term(k, facts_[members[j]].r,
-                                                  facts_[members[j]].xi_m);
-          if (std::fabs(next - k) <= 1e-12) {
-            k = next;
-            converged = true;
-            break;
-          }
-          k = next;
-        }
-        if (!converged)
-          throw NumericalError(
-              "max_wait_fixed_point: recurrence did not converge (m < 1 violated?)");
-        k_hat = k;
-      }
-      const double response = k_hat + facts_[members[i]].model->dwell(k_hat);
-      if (!(response <= facts_[members[i]].deadline + 1e-12)) all_ok = false;
+      const MemberWait wait = member_wait(members, count, i);
+      // Saturated: every lower-priority member fails too.
+      if (wait.kind == MemberWait::kSaturated) return Verdict::kInfeasible;
+      if (wait.kind == MemberWait::kDiverged) return Verdict::kDiverged;
+      const AppFacts& f = facts_[members[i]];
+      const double response = wait.k_hat + f.model->dwell(wait.k_hat);
+      if (!(response <= f.deadline + 1e-12)) all_ok = false;
     }
-    return all_ok;
+    return all_ok ? Verdict::kFeasible : Verdict::kInfeasible;
+  }
+
+  bool compute(const std::size_t* members, std::size_t count) const {
+    const Verdict verdict = evaluate(members, count);
+    if (verdict == Verdict::kDiverged)
+      throw NumericalError(
+          "max_wait_fixed_point: recurrence did not converge (m < 1 violated?)");
+    return verdict == Verdict::kFeasible;
   }
 
   MaxWaitMethod method_;
@@ -260,19 +335,28 @@ std::vector<std::vector<AppSchedParams>> materialize(
 // canonical-first optimal witness — the one the pre-optimization
 // search returns.
 //
-// Four pruning layers sit on top of the feasibility engine; each is SOUND
+// Five pruning layers sit on top of the feasibility engine; each is SOUND
 // (it never excludes the canonical-first partition of a level), so the
 // returned partition stays bit-identical to the reference search:
 //
 //  * Conflict pairs: (i, j) such that NO slot containing both can be
-//    feasible.  The screen rests on monotone wait growth — adding slot
-//    members only grows blocking and interference, so each member's
-//    maximum wait in a superset slot is at least its wait in the pair —
-//    plus DwellWaitModel::min_response_from, a sound infimum of the
-//    response beyond a known wait (the non-monotonic tent makes plain
-//    response monotonicity false, so the infimum is what must clear the
+//    feasible — the never-feasible verdict of the pair.  That verdict
+//    rests on monotone wait growth — adding slot members only grows
+//    blocking and interference, so each member's maximum wait in a
+//    superset slot is at least its wait in the set — plus
+//    DwellWaitModel::min_response_from, a sound infimum of the response
+//    beyond a known wait (the non-monotonic tent makes plain response
+//    monotonicity false, so the infimum is what must clear the
 //    deadline).  A conflicting pair in a candidate slot means
 //    feasible() would return false; skipping the call changes nothing.
+//  * Look-ahead: once no new slot may open, every unplaced application
+//    must still be able to join an open slot (the slot plus it is not
+//    never-feasible), and the applications only one slot can take must
+//    be able to join it together.  A slot's final members are a superset
+//    of its members at any node, so a node failing either holds no
+//    partition.  The check is engaged only after kLookAheadAfterNodes
+//    nodes of one optimal_allocate call: easy searches lose more to it
+//    than they gain.
 //  * Symmetry breaking: an application whose IMMEDIATE predecessor in
 //    priority order is an interchangeable twin (bitwise-equal r,
 //    deadline, xi_M, utilization and an identical dwell curve) never
@@ -310,6 +394,8 @@ struct SearchState {
     double load;            ///< in-order sum of the members' utilizations
     std::uint64_t tested;   ///< apps whose extension of `mask` was tested
     std::uint64_t accepts;  ///< tested apps the slot accepts
+    std::uint64_t able;     ///< apps whose extension of `mask` is not never-feasible
+    std::uint64_t unable;   ///< apps whose extension of `mask` is never-feasible
   };
   std::vector<Slot> slots;
   std::vector<std::size_t> slot_of;  ///< slot index of each placed app
@@ -329,21 +415,23 @@ struct SearchState {
     return (slot.accepts & app) != 0;
   }
 
-  /// Append `app` to slot s; returns the slot as it was, for pop().
-  /// Appending keeps the load the exact in-order sum, and pop() restores
-  /// the saved load instead of subtracting — (L + u) - u can drift ulps
-  /// away from L, and the loads feed the >= 1.0 feasibility screen and
-  /// the lower bounds, which must see exactly the sum the feasibility
-  /// engine computes.
-  Slot push(std::size_t s, std::size_t app, double util) {
+  /// Append `app` (which conflicts with `conflicts`) to slot s; returns
+  /// the slot as it was, for pop().  Appending keeps the load the exact
+  /// in-order sum, and pop() restores the saved load instead of
+  /// subtracting — (L + u) - u can drift ulps away from L, and the loads
+  /// feed the >= 1.0 feasibility screen and the lower bounds, which must
+  /// see exactly the sum the feasibility engine computes.  The unable
+  /// bits carry over, as a superset of a never-feasible set is one too.
+  Slot push(std::size_t s, std::size_t app, double util, std::uint64_t conflicts) {
     const Slot saved = slots[s];
-    slots[s] = Slot{saved.mask | bit_of(app), saved.load + util, 0, 0};
+    slots[s] =
+        Slot{saved.mask | bit_of(app), saved.load + util, 0, 0, 0, saved.unable | conflicts};
     slot_of[app] = s;
     return saved;
   }
   void pop(std::size_t s, const Slot& saved) { slots[s] = saved; }
-  void open(std::size_t app, double util) {
-    slots.push_back(Slot{bit_of(app), util, 0, 0});
+  void open(std::size_t app, double util, std::uint64_t conflicts) {
+    slots.push_back(Slot{bit_of(app), util, 0, 0, 0, conflicts});
     slot_of[app] = slots.size() - 1;
   }
   void close() { slots.pop_back(); }
@@ -387,7 +475,7 @@ struct SearchFacts {
     conflict.assign(n, 0);
     for (std::size_t j = 1; j < n; ++j)
       for (std::size_t i = 0; i < j; ++i)
-        if (never_share(engine, i, j)) {
+        if (const std::size_t pair[] = {i, j}; engine.never_feasible(pair, 2)) {
           conflict[i] |= bit_of(j);
           conflict[j] |= bit_of(i);
         }
@@ -421,6 +509,12 @@ struct SearchFacts {
     }
     total_lb = std::max(
         total_lb, static_cast<std::size_t>(__builtin_popcountll(clique_suffix[0])));
+  }
+
+  /// Apps [i, n) as a mask (i < n).
+  std::uint64_t apps_from(std::size_t i) const {
+    const std::uint64_t all = n == 64 ? ~std::uint64_t{0} : bit_of(n) - 1;
+    return all & ~(bit_of(i) - 1);
   }
 
   /// Lower bound on the final slot count from a node where apps [0, i)
@@ -464,46 +558,10 @@ struct SearchFacts {
   }
 
  private:
-  /// True when i and j (i higher priority) provably cannot share ANY
-  /// feasible slot.  Sound under both wait methods: a superset slot only
-  /// grows each member's maximum wait beyond the pair's, and
-  /// min_response_from bounds the response from below beyond that wait.
-  bool never_share(const SlotFeasibility& engine, std::size_t i, std::size_t j) const {
-    const AppFacts& hi = engine.facts(i);
-    const AppFacts& lo = engine.facts(j);
-    // The lower-priority member's interference utilization alone: m >= 1
-    // fails the slot outright in compute().
-    if (hi.util >= 1.0) return true;
-    // i's side: with j anywhere below it, i's blocking is at least xi_M_j.
-    if (hi.model->min_response_from(lo.xi_m) > hi.deadline + 1e-12) return true;
-    // j's side: with i anywhere above it, j's wait is at least the pair's
-    // k_hat (monotone in blocking and interference set for both methods).
-    double k_min = 0.0;
-    if (method == MaxWaitMethod::kClosedFormBound) {
-      k_min = hi.xi_m / (1.0 - hi.util);
-    } else {
-      double k = hi.xi_m;  // the pair's critical-instant seed
-      bool converged = false;
-      for (int it = 0; it < 10000; ++it) {
-        const double next = fixed_point_interference_term(k, hi.r, hi.xi_m);  // a = 0
-        if (std::fabs(next - k) <= 1e-12) {
-          k = next;
-          converged = true;
-          break;
-        }
-        k = next;
-      }
-      if (!converged) return false;  // conservative: claim nothing
-      k_min = k;
-    }
-    return lo.model->min_response_from(k_min) > lo.deadline + 1e-12;
-  }
-
   /// Deterministic greedy clique in the conflict graph restricted to
   /// [start, n): vertices by descending suffix degree, ties by index.
   std::uint64_t greedy_clique(std::size_t start) const {
-    const std::uint64_t all = n == 64 ? ~std::uint64_t{0} : bit_of(n) - 1;
-    const std::uint64_t suffix_mask = all & ~(bit_of(start) - 1);
+    const std::uint64_t suffix_mask = apps_from(start);
     std::vector<std::size_t> order;
     order.reserve(n - start);
     for (std::size_t v = start; v < n; ++v) order.push_back(v);
@@ -520,6 +578,18 @@ struct SearchFacts {
   }
 };
 
+/// How many frontier subtree tasks a parallel level aims for.  Fixed (not
+/// derived from the job count) so the decomposition is identical for
+/// every `exact_jobs`.
+constexpr std::size_t kFrontierTarget = 128;
+
+/// Below this size the sequential search always wins; skip the fan-out.
+constexpr std::size_t kMinAppsForFanOut = 10;
+
+/// The look-ahead costs an easy search more than it saves, so it engages
+/// only once one optimal_allocate call has expanded more nodes than this.
+constexpr std::uint64_t kLookAheadAfterNodes = 2048;
+
 /// The bounded canonical search: the first partition into at most
 /// `max_slots` slots in canonical depth-first order below one node, or
 /// none.  The witness of a level is the canonical-first partition of
@@ -527,13 +597,15 @@ struct SearchFacts {
 /// rule by the exchange argument above).
 class BoundedSearch {
  public:
-  /// `winner` / `task`: a parallel subtree task stops once a
-  /// lower-index task has found a partition (winner < task).
+  /// `prior_nodes`: nodes the optimal_allocate call expanded before this
+  /// search, counted toward kLookAheadAfterNodes.  `winner` / `task`: a
+  /// parallel subtree task stops once a lower-index task has found a
+  /// partition (winner < task).
   BoundedSearch(SlotFeasibility& engine, const SearchFacts& facts, std::size_t max_slots,
-                const std::atomic<bool>* cancel,
+                const std::atomic<bool>* cancel, std::uint64_t prior_nodes,
                 const runtime::SharedIncumbent* winner = nullptr, std::size_t task = 0)
       : engine_(engine), facts_(facts), bound_(max_slots + 1), cancel_(cancel),
-        winner_(winner), task_(task), state_(facts.n) {}
+        prior_nodes_(prior_nodes), winner_(winner), task_(task), state_(facts.n) {}
 
   /// Search below `node` (apps [next_app, n) unplaced); true when it
   /// holds a partition, which witness() then returns.
@@ -573,6 +645,9 @@ class BoundedSearch {
       found_ = done_ = true;
       return;
     }
+    if (state_.slots.size() + 1 == bound_ && i + 1 < facts_.n &&
+        prior_nodes_ + nodes_ > kLookAheadAfterNodes && !rest_can_join(i))
+      return;
 
     const double util = facts_.utils[i];
     const std::uint64_t conflicts = facts_.conflict[i];
@@ -582,7 +657,7 @@ class BoundedSearch {
       if (state_.slots[s].load >= 1.0) continue;  // the newcomer's m would be >= 1
       if ((conflicts & state_.slots[s].mask) != 0) continue;  // conflicting member
       if (!state_.accepts_app(s, i, engine_)) continue;
-      const SearchState::Slot saved = state_.push(s, i, util);
+      const SearchState::Slot saved = state_.push(s, i, util, conflicts);
       dfs(i + 1);
       if (done_) return;  // keep the witness in state_
       state_.pop(s, saved);
@@ -593,17 +668,49 @@ class BoundedSearch {
       if (i + 1 == facts_.n) return;
     }
     if (state_.slots.size() + 1 < bound_) {
-      state_.open(i, util);
+      state_.open(i, util, conflicts);
       dfs(i + 1);
       if (done_) return;
       state_.close();
     }
   }
 
+  /// The look-ahead, at a node where no new slot may open: every unplaced
+  /// application (apps [i, n)) must end in one of the open slots, whose
+  /// final members are a superset of their members now.  False when an
+  /// application can join no open slot, or when the applications that
+  /// can join only one and the same slot cannot all join it together.
+  bool rest_can_join(std::size_t i) {
+    const std::uint64_t rest = facts_.apps_from(i);
+    std::uint64_t once = 0;   // apps some slot can take
+    std::uint64_t twice = 0;  // apps two or more slots can take
+    for (auto& slot : state_.slots) {
+      if (slot.load >= 1.0) continue;  // every newcomer's m would be >= 1
+      for (std::uint64_t unknown = rest & ~(slot.able | slot.accepts | slot.unable);
+           unknown != 0; unknown &= unknown - 1) {
+        const std::uint64_t app = bit_of(static_cast<std::size_t>(__builtin_ctzll(unknown)));
+        (engine_.never_feasible_mask(slot.mask | app) ? slot.unable : slot.able) |= app;
+      }
+      const std::uint64_t joinable = rest & ~slot.unable;
+      twice |= once & joinable;
+      once |= joinable;
+    }
+    if (once != rest) return false;
+    const std::uint64_t single = once & ~twice;
+    for (const auto& slot : state_.slots) {
+      if (slot.load >= 1.0) continue;
+      const std::uint64_t forced = single & ~slot.unable;
+      if ((forced & (forced - 1)) != 0 && engine_.never_feasible_mask(slot.mask | forced))
+        return false;
+    }
+    return true;
+  }
+
   SlotFeasibility& engine_;
   const SearchFacts& facts_;
   std::size_t bound_;  ///< slot counts >= bound_ are pruned
   const std::atomic<bool>* cancel_;
+  std::uint64_t prior_nodes_;
   const runtime::SharedIncumbent* winner_;
   std::size_t task_;
   SearchState state_;
@@ -647,12 +754,12 @@ std::vector<FrontierNode> expand_frontier(SlotFeasibility& engine, const SearchF
         if (state.slots[s].load >= 1.0 || (conflicts & state.slots[s].mask) != 0) continue;
         if (!state.accepts_app(s, i, engine)) continue;
         SearchState child = state;
-        child.push(s, i, util);
+        child.push(s, i, util, conflicts);
         next.push_back(FrontierNode{std::move(child), i + 1});
       }
       if (state.slots.size() + 1 < bound) {
         SearchState child = std::move(state);
-        child.open(i, util);
+        child.open(i, util, conflicts);
         next.push_back(FrontierNode{std::move(child), i + 1});
       }
     }
@@ -661,25 +768,17 @@ std::vector<FrontierNode> expand_frontier(SlotFeasibility& engine, const SearchF
   return frontier;
 }
 
-/// How many frontier subtree tasks a parallel level aims for.  Fixed (not
-/// derived from the job count) so the decomposition is identical for
-/// every `exact_jobs`.
-constexpr std::size_t kFrontierTarget = 128;
-
-/// Below this size the sequential search always wins; skip the fan-out.
-constexpr std::size_t kMinAppsForFanOut = 10;
-
 /// One level of the deepening: the canonical-first partition into at most
 /// `max_slots` slots, or nullopt when none exists.  With exact_jobs > 1
 /// the level fans out over the frontier subtrees; the answer is the
 /// witness of the lowest-index subtree that holds one, which is the
-/// sequential search's witness.
+/// sequential search's witness.  `nodes` counts the call's nodes so far.
 std::optional<std::vector<std::vector<std::size_t>>> search_level(
     const std::vector<AppSchedParams>& apps, SlotFeasibility& engine,
     const SearchFacts& facts, std::size_t max_slots, const AllocationOptions& options,
     std::uint64_t& nodes) {
   if (options.exact_jobs <= 1 || facts.n < kMinAppsForFanOut) {
-    BoundedSearch search(engine, facts, max_slots, options.cancel);
+    BoundedSearch search(engine, facts, max_slots, options.cancel, nodes);
     const bool found = search.run(SearchState(facts.n), 0);
     nodes += search.nodes();
     if (!found) return std::nullopt;
@@ -696,13 +795,15 @@ std::optional<std::vector<std::vector<std::size_t>>> search_level(
   // cancel flag throws CancelledError, which parallel_map rethrows after
   // dropping the pending tasks.
   runtime::SharedIncumbent winner(frontier.size());
+  const std::uint64_t prior_nodes = nodes;
   const auto results =
       runtime::parallel_map(options.exact_jobs, frontier.size(), [&](std::size_t t) {
         TaskResult result;
         if (winner.load() < t) return result;
         // Task-private memo; the facts are identical (same inputs).
         SlotFeasibility task_engine(apps, facts.method);
-        BoundedSearch search(task_engine, facts, max_slots, options.cancel, &winner, t);
+        BoundedSearch search(task_engine, facts, max_slots, options.cancel, prior_nodes,
+                             &winner, t);
         if (search.run(frontier[t].state, frontier[t].next_app)) {
           winner.improve(t);
           result.witness = search.witness();

@@ -99,8 +99,13 @@ Allocation best_fit_allocate(std::vector<AppSchedParams> apps,
 /// provably can never share a slot), (c) canonical symmetry breaking over
 /// interchangeable applications (an application whose adjacent priority
 /// predecessor is identical never goes into a lower-indexed slot than
-/// that twin), and (d) last-application dominance — all on top of a
-/// slot-feasibility engine memoized by membership mask.  With
+/// that twin), (d) last-application dominance, and (e) once a call has
+/// expanded a few thousand nodes, a look-ahead where no new slot may
+/// open: a node is dropped when an unplaced application can join no open
+/// slot, or when the applications only one slot can take cannot all
+/// join it (both proven by the never-feasible screen the conflict pairs
+/// come from) — all on top of a slot-feasibility engine memoized by
+/// membership mask.  With
 /// options.exact_jobs > 1 each level fans out over canonical frontier
 /// subtrees (see AllocationOptions::exact_jobs).
 ///

@@ -9,6 +9,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace cps {
 
@@ -55,10 +56,21 @@ class CancelledError : public Error {
 };
 
 namespace detail {
+/// `file` relative to the repository root, so a message does not depend on
+/// where the tree was built: the root is whatever precedes
+/// "src/util/error.hpp" in this header's own path.
+inline const char* path_from_root(const char* file) {
+  constexpr std::string_view self = __FILE__;
+  constexpr std::string_view tail = "src/util/error.hpp";
+  if (self.size() < tail.size() || self.substr(self.size() - tail.size()) != tail) return file;
+  const std::string_view root = self.substr(0, self.size() - tail.size());
+  return std::string_view(file).substr(0, root.size()) == root ? file + root.size() : file;
+}
+
 [[noreturn]] inline void throw_ensure_failure(const char* expr, const char* file, int line,
                                               const std::string& msg) {
-  std::string what = std::string("precondition failed: ") + expr + " at " + file + ":" +
-                     std::to_string(line);
+  std::string what = std::string("precondition failed: ") + expr + " at " +
+                     path_from_root(file) + ":" + std::to_string(line);
   if (!msg.empty()) what += " — " + msg;
   throw InvalidArgument(what);
 }

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "analysis/slot_allocation.hpp"
@@ -19,10 +21,13 @@
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 #include "oracles/reference.hpp"
+#include "plants/fleet_synthesis.hpp"
 #include "plants/servo_motor.hpp"
 #include "plants/table1.hpp"
 #include "sim/dwell_wait.hpp"
+#include "runtime/sweep_runner.hpp"
 #include "sim/switched_system.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -195,6 +200,77 @@ TEST(AllocatorGolden, HeuristicsStillProduceSchedulableSlots) {
       // Infeasible even on dedicated slots — nothing to check.
     }
   }
+}
+
+/// FNV-1a 64 over the optimal partition of every fleet under `method`:
+/// each slot's application names in priority order, or the error kind
+/// when the search throws one.
+std::uint64_t optimal_partitions_digest(const std::vector<std::vector<AppSchedParams>>& fleets,
+                                        MaxWaitMethod method) {
+  AllocationOptions options;
+  options.method = method;
+  std::string text;
+  for (const auto& fleet : fleets) {
+    try {
+      for (const auto& slot : optimal_allocate(fleet, options).slots) {
+        for (const auto& name : slot) text += name + ",";
+        text += ";";
+      }
+    } catch (const InfeasibleError&) {
+      text += "infeasible";
+    } catch (const NumericalError&) {
+      text += "numerical";
+    }
+    text += "\n";
+  }
+  return util::fnv1a64(text);
+}
+
+TEST(AllocatorGolden, ScalingGridPartitionsArePinned) {
+  // The 220-fleet sweep_alloc_scaling grid at the campaign seed, n = 6..20
+  // (its index-217 draw is the exact search's hardest instance).  The
+  // reference oracle stops at n = 12, so the look-ahead layer of the
+  // n > 12 searches is held to these digests of the partitions the
+  // search returned before that layer existed.
+  std::vector<std::vector<AppSchedParams>> grid;
+  for (int size = 6; size <= 20; ++size) {
+    const int trials = size <= 12 ? 20 : size <= 16 ? 12 : 8;
+    for (int t = 0; t < trials; ++t) {
+      Rng rng(runtime::task_seed(0x5EED5EED, grid.size()));
+      grid.push_back(experiments::random_sched_params(
+          rng, size, experiments::allocator_ablation_ranges()));
+    }
+  }
+  ASSERT_EQ(grid.size(), 220u);
+  EXPECT_EQ(util::hex64(optimal_partitions_digest(grid, MaxWaitMethod::kClosedFormBound)),
+            "d2154e5b83a509bc");
+  EXPECT_EQ(util::hex64(optimal_partitions_digest(grid, MaxWaitMethod::kFixedPoint)),
+            "fca23be4647de206");
+}
+
+TEST(AllocatorGolden, SynthesizedFleetPartitionsArePinned) {
+  // Utilization-controlled fleets mixing the three plant families, at
+  // n = 12, 16, 20 and U = 1.5, 2.5, 3.5; a handful of the n = 20 draws
+  // run long enough for the look-ahead to engage.
+  std::vector<std::vector<AppSchedParams>> fleets;
+  std::size_t per_family[3] = {0, 0, 0};
+  for (const std::size_t n : {12u, 16u, 20u}) {
+    for (const double u : {1.5, 2.5, 3.5}) {
+      for (std::uint64_t seed = 0; seed < 8; ++seed) {
+        plants::FleetSynthesisSpec spec;
+        spec.n_apps = n;
+        spec.target_utilization = u;
+        const auto fleet = plants::synthesize_sched_fleet(spec, seed);
+        for (const auto& app : fleet.apps) ++per_family[static_cast<int>(app.family)];
+        fleets.push_back(plants::to_sched_params(fleet));
+      }
+    }
+  }
+  for (const std::size_t count : per_family) EXPECT_GT(count, 0u);
+  EXPECT_EQ(util::hex64(optimal_partitions_digest(fleets, MaxWaitMethod::kClosedFormBound)),
+            "30eb647a8ffa66ac");
+  EXPECT_EQ(util::hex64(optimal_partitions_digest(fleets, MaxWaitMethod::kFixedPoint)),
+            "d91de5187f228a5c");
 }
 
 }  // namespace

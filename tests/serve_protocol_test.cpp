@@ -208,6 +208,20 @@ TEST(ServeProtocolTest, DispatchMapsInvalidArgumentToBadRequest) {
   EXPECT_EQ(result.status, Status::kBadRequest);
 }
 
+// A precondition's message names its source file relative to the
+// repository root, so the bad_request payload is the same wherever the
+// binary was built.
+TEST(ServeProtocolTest, BadRequestNamesTheSourceRelativeToTheRepository) {
+  SchedCheckRequest request;
+  request.fleet.n_apps = 0;
+  cps::util::BinaryWriter out;
+  request.encode(out);
+  const auto result = dispatch(Opcode::kSchedCheck, out.bytes(), QueryContext{});
+  ASSERT_EQ(result.status, Status::kBadRequest);
+  const std::string message = decode_error_payload(result.payload);
+  EXPECT_NE(message.find(" at src/plants/fleet_synthesis.cpp:"), std::string::npos) << message;
+}
+
 // A fleet wider than the exact search's bitmask is a bad request for
 // every fleet opcode, before anything is drawn: 2^40 apps used to reach
 // the generator's reserve() and answer internal_error (std::bad_alloc).
