@@ -6,10 +6,14 @@
 #include "util/error.hpp"
 
 // NOTE: analysis/slot_allocation.cpp carries an index-based replica of
-// this analysis (SlotFeasibility::compute) whose verdicts must stay
-// bit-identical to analyze_slot — tests/analysis_golden_test.cpp pins
-// that equivalence.  Any change to the math below (tolerances, seeding,
-// iteration caps, summation order) must be mirrored there.
+// this analysis (SlotFeasibility::member_wait) whose verdicts must stay
+// bit-identical to analyze_slot.  The replica also produces the analyses
+// the allocators report (SlotFeasibility::analyze), so every field of
+// analyze_slot's result — blocking, interference utilization, wait,
+// response, deadline and both flags — must come out of it bit for bit.
+// tests/analysis_golden_test.cpp pins both equivalences.  Any change to
+// the math below (tolerances, seeding, iteration caps, summation order)
+// must be mirrored there.
 
 namespace cps::analysis {
 

@@ -16,22 +16,6 @@ namespace cps::analysis {
 
 namespace {
 
-/// Package a set of slots (each already in priority order) as Allocation.
-Allocation finalize(std::vector<std::vector<AppSchedParams>> slots,
-                    const AllocationOptions& options) {
-  Allocation out;
-  out.slots.reserve(slots.size());
-  out.analyses.reserve(slots.size());
-  for (auto& slot : slots) {
-    std::vector<std::string> names;
-    names.reserve(slot.size());
-    for (const auto& a : slot) names.push_back(a.name);
-    out.slots.push_back(std::move(names));
-    out.analyses.push_back(analyze_slot(slot, options.method));
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Fast slot-feasibility engine.
 //
@@ -43,7 +27,9 @@ Allocation finalize(std::vector<std::vector<AppSchedParams>> slots,
 // the exact floating-point operation order of analyze_slot (same sums, same
 // maxima, same comparisons), so its verdicts are bit-identical — and it
 // memoizes verdicts by membership bitmask, because branch-and-bound re-tests
-// the same slot contents along many branches.
+// the same slot contents along many branches.  The analyses an allocator
+// reports come from the same facts (analyze()), so no application is
+// copied to report a slot either.
 
 struct AppFacts {
   double xi_m = 0.0;     // model->max_dwell(), the xi^M of the analysis
@@ -64,7 +50,7 @@ class SlotFeasibility {
   /// `apps` must stay alive and unmodified for the engine's lifetime and
   /// must already be in priority order.
   SlotFeasibility(const std::vector<AppSchedParams>& apps, MaxWaitMethod method)
-      : method_(method) {
+      : apps_(apps), method_(method) {
     facts_.reserve(apps.size());
     for (const auto& a : apps) {
       CPS_ENSURE(a.model != nullptr, "schedulability: every app needs a dwell/wait model");
@@ -130,6 +116,35 @@ class SlotFeasibility {
     const bool never = never_feasible(members.index, members.count);
     memo_[at] |= never ? kNeverFeasible : kMayGrow;
     return never;
+  }
+
+  /// analyze_slot({apps[members]...}, method) bit for bit: the per-member
+  /// results in priority order (`members` increasing), with the same
+  /// NumericalError where a fixed point does not converge.
+  SlotAnalysis analyze(const std::vector<std::size_t>& members) const {
+    SlotAnalysis analysis;
+    analysis.results.reserve(members.size());
+    analysis.all_schedulable = true;
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      const MemberWait wait = member_wait(members.data(), members.size(), i);
+      if (wait.kind == MemberWait::kDiverged) throw_diverged();
+      const AppFacts& f = facts_[members[i]];
+      AppSchedResult& result = analysis.results.emplace_back();
+      result.name = apps_[members[i]].name;
+      result.deadline = f.deadline;
+      result.blocking = wait.blocking;
+      result.interference_util = wait.interference_util;
+      if (wait.kind == MemberWait::kSaturated) {
+        result.utilization_feasible = false;
+        analysis.all_schedulable = false;
+        continue;
+      }
+      result.max_wait = wait.k_hat;
+      result.response = f.model->response(wait.k_hat);
+      result.schedulable = result.response <= result.deadline + 1e-12;
+      if (!result.schedulable) analysis.all_schedulable = false;
+    }
+    return analysis;
   }
 
   /// never_feasible_mask's verdict on the slot holding `members`
@@ -206,19 +221,21 @@ class SlotFeasibility {
   /// max_wait_fixed_point.
   struct MemberWait {
     enum Kind { kWait, kSaturated, kDiverged } kind;  ///< saturated: m >= 1
-    double k_hat;
+    double blocking;           ///< a
+    double interference_util;  ///< m
+    double k_hat;              ///< the wait, when kind == kWait
   };
   MemberWait member_wait(const std::size_t* members, std::size_t count, std::size_t i) const {
     double a = 0.0;
     for (std::size_t k = i + 1; k < count; ++k) a = std::max(a, facts_[members[k]].xi_m);
     double m = 0.0;
     for (std::size_t j = 0; j < i; ++j) m += facts_[members[j]].util;
-    if (m >= 1.0) return {MemberWait::kSaturated, 0.0};
+    if (m >= 1.0) return {MemberWait::kSaturated, a, m, 0.0};
 
     if (method_ == MaxWaitMethod::kClosedFormBound) {
       double a_prime = a;
       for (std::size_t j = 0; j < i; ++j) a_prime += facts_[members[j]].xi_m;
-      return {MemberWait::kWait, a_prime / (1.0 - m)};
+      return {MemberWait::kWait, a, m, a_prime / (1.0 - m)};
     }
     double k = a;
     for (std::size_t j = 0; j < i; ++j) k += facts_[members[j]].xi_m;
@@ -227,10 +244,14 @@ class SlotFeasibility {
       for (std::size_t j = 0; j < i; ++j)
         next +=
             fixed_point_interference_term(k, facts_[members[j]].r, facts_[members[j]].xi_m);
-      if (std::fabs(next - k) <= 1e-12) return {MemberWait::kWait, next};
+      if (std::fabs(next - k) <= 1e-12) return {MemberWait::kWait, a, m, next};
       k = next;
     }
-    return {MemberWait::kDiverged, 0.0};
+    return {MemberWait::kDiverged, a, m, 0.0};
+  }
+
+  [[noreturn]] static void throw_diverged() {
+    throw NumericalError("max_wait_fixed_point: recurrence did not converge (m < 1 violated?)");
   }
 
   enum class Verdict { kFeasible, kInfeasible, kDiverged };
@@ -257,12 +278,11 @@ class SlotFeasibility {
 
   bool compute(const std::size_t* members, std::size_t count) const {
     const Verdict verdict = evaluate(members, count);
-    if (verdict == Verdict::kDiverged)
-      throw NumericalError(
-          "max_wait_fixed_point: recurrence did not converge (m < 1 violated?)");
+    if (verdict == Verdict::kDiverged) throw_diverged();
     return verdict == Verdict::kFeasible;
   }
 
+  const std::vector<AppSchedParams>& apps_;
   MaxWaitMethod method_;
   std::vector<AppFacts> facts_;
   std::vector<std::uint64_t> memo_;  ///< empty when the fleet exceeds kMaxMemoApps
@@ -276,6 +296,22 @@ void require_alone_feasible(SlotFeasibility& engine, const AppSchedParams& app,
   if (!engine.feasible({index}))
     throw InfeasibleError("application '" + app.name +
                           "' cannot meet its deadline even on a dedicated TT slot");
+}
+
+/// The Allocation of index slots (each in priority order): the slots'
+/// application names and analyses, from the engine's facts.
+Allocation report(const SlotFeasibility& engine, const std::vector<AppSchedParams>& apps,
+                  const std::vector<std::vector<std::size_t>>& slots) {
+  Allocation out;
+  out.slots.reserve(slots.size());
+  out.analyses.reserve(slots.size());
+  for (const auto& slot : slots) {
+    auto& names = out.slots.emplace_back();
+    names.reserve(slot.size());
+    for (std::size_t i : slot) names.push_back(apps[i].name);
+    out.analyses.push_back(engine.analyze(slot));
+  }
+  return out;
 }
 
 /// First-fit over indices (the paper's heuristic), shared by the public
@@ -306,21 +342,6 @@ std::vector<std::vector<std::size_t>> first_fit_indices(
     }
   }
   return slots;
-}
-
-/// Materialize index slots back into application slots for finalize().
-std::vector<std::vector<AppSchedParams>> materialize(
-    const std::vector<std::vector<std::size_t>>& slots,
-    const std::vector<AppSchedParams>& apps) {
-  std::vector<std::vector<AppSchedParams>> out;
-  out.reserve(slots.size());
-  for (const auto& slot : slots) {
-    std::vector<AppSchedParams> block;
-    block.reserve(slot.size());
-    for (std::size_t i : slot) block.push_back(apps[i]);
-    out.push_back(std::move(block));
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -823,8 +844,7 @@ Allocation first_fit_allocate(std::vector<AppSchedParams> apps,
   CPS_ENSURE(!apps.empty(), "first_fit_allocate: need at least one application");
   sort_by_priority(apps);
   SlotFeasibility engine(apps, options.method);
-  const auto slots = first_fit_indices(engine, apps, options.max_slots);
-  return finalize(materialize(slots, apps), options);
+  return report(engine, apps, first_fit_indices(engine, apps, options.max_slots));
 }
 
 Allocation best_fit_allocate(std::vector<AppSchedParams> apps,
@@ -868,7 +888,7 @@ Allocation best_fit_allocate(std::vector<AppSchedParams> apps,
                               std::to_string(options.max_slots) + " TT slots");
     }
   }
-  return finalize(materialize(slots, apps), options);
+  return report(engine, apps, slots);
 }
 
 Allocation optimal_allocate(std::vector<AppSchedParams> apps, const AllocationOptions& options,
@@ -909,7 +929,7 @@ Allocation optimal_allocate(std::vector<AppSchedParams> apps, const AllocationOp
   if (options.max_slots != 0 && best.size() > options.max_slots)
     throw InfeasibleError("optimal allocation still exceeds the available " +
                           std::to_string(options.max_slots) + " TT slots");
-  return finalize(materialize(best, apps), options);
+  return report(engine, apps, best);
 }
 
 }  // namespace cps::analysis

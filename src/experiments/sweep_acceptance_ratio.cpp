@@ -22,7 +22,8 @@
 //    (experiments::sched_fleet_batch, sched_fleet_batch/v1 store
 //    codec), keyed by the generator values + batch seed — shards and
 //    warm-store re-runs share one draw;
-//  * the (U x n x trial) grid fans out through the chunked SweepRunner;
+//  * the (U x n x trial) grid fans out through the range-stealing
+//    SweepRunner;
 //  * the per-point CSV (leading global-index column) is bit-identical
 //    for any --jobs, any --shard partition, any fixture-store state;
 //    the aggregated per-curve CSV is written only when unsharded (the

@@ -22,8 +22,8 @@
 //
 // Sharded-sweep contract (sweep_acceptance_ratio.cpp is the reference):
 // cached fleet batches keyed off the generator values + salted seed,
-// chunked SweepRunner fan-out, per-point CSV with a leading global
-// index column, aggregate table only when unsharded.
+// range-stealing SweepRunner fan-out, per-point CSV with a leading
+// global index column, aggregate table only when unsharded.
 #include <cstddef>
 #include <string>
 #include <vector>

@@ -30,8 +30,8 @@
 //  * the fleet synthesis and the six dwell/wait curves come through the
 //    two-level FixtureCache — with `--fixture-store` a warm store turns
 //    the whole fixture phase into bit-identical disk loads;
-//  * the (cycle x slots x trial) grid fans out through the chunked
-//    SweepRunner with a per-worker scratch workspace;
+//  * the (cycle x slots x trial) grid fans out through the
+//    range-stealing SweepRunner with a per-worker scratch workspace;
 //  * under `cps_run --shard i/N` the process evaluates only its
 //    contiguous block of the grid and writes
 //    sweep_flexray_params.csv.shardIofN; `--merge N` concatenates the
@@ -140,7 +140,7 @@ struct Cell {
 };
 
 /// Per-worker scratch: the application set under allocation, reused
-/// across every grid point of a chunk.
+/// across every grid point a worker evaluates.
 struct FlexRaySweepWorkspace {
   std::vector<AppSchedParams> apps;
 };

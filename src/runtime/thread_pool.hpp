@@ -7,12 +7,14 @@
 // peer's deque (FIFO, oldest first), so uneven parameter grids keep every
 // core busy.  Results and exceptions propagate through std::future, which
 // is what parallel_map relies on for exception-safe fan-out.  SweepRunner
-// (chunks of a parameter grid) and the exact slot allocator (subtrees of
-// one search level) both fan out through parallel_map.
+// (one task per range-stealing worker, each claiming spans of a parameter
+// grid itself) and the exact slot allocator (subtrees of one search
+// level) both fan out through parallel_map.
 //
-// The deques share one mutex: experiment tasks are coarse (milliseconds to
-// seconds each), so queue contention is negligible and a single lock keeps
-// the sleep/wake protocol trivially correct.
+// The deques share one mutex: the tasks are coarse (a sweep worker's
+// whole share of a grid, or a search subtree of milliseconds to seconds),
+// so queue contention is negligible and a single lock keeps the
+// sleep/wake protocol trivially correct.
 #pragma once
 
 #include <algorithm>

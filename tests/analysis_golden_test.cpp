@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -119,21 +120,50 @@ TEST(DwellWaitGolden, RandomStableSystemsBitIdentical) {
   EXPECT_GE(measured, 10) << "random-system generator produced too few settling draws";
 }
 
+std::uint64_t bits_of(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  return bits;
+}
+
+/// Every field of two slot analyses equal; doubles bit for bit.
+void expect_same_analysis(const SlotAnalysis& actual, const SlotAnalysis& expected) {
+  EXPECT_EQ(actual.all_schedulable, expected.all_schedulable);
+  ASSERT_EQ(actual.results.size(), expected.results.size());
+  for (std::size_t i = 0; i < actual.results.size(); ++i) {
+    const auto& a = actual.results[i];
+    const auto& b = expected.results[i];
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.schedulable, b.schedulable) << b.name;
+    EXPECT_EQ(a.utilization_feasible, b.utilization_feasible) << b.name;
+    EXPECT_EQ(bits_of(a.blocking), bits_of(b.blocking)) << b.name;
+    EXPECT_EQ(bits_of(a.interference_util), bits_of(b.interference_util)) << b.name;
+    EXPECT_EQ(bits_of(a.max_wait), bits_of(b.max_wait)) << b.name;
+    EXPECT_EQ(bits_of(a.response), bits_of(b.response)) << b.name;
+    EXPECT_EQ(bits_of(a.deadline), bits_of(b.deadline)) << b.name;
+  }
+}
+
 void expect_same_allocation(const Allocation& optimized, const Allocation& reference) {
   ASSERT_EQ(optimized.slot_count(), reference.slot_count());
   EXPECT_EQ(optimized.slots, reference.slots);  // same apps, same slots, same order
   ASSERT_EQ(optimized.analyses.size(), reference.analyses.size());
-  for (std::size_t s = 0; s < optimized.analyses.size(); ++s) {
-    const auto& a = optimized.analyses[s];
-    const auto& b = reference.analyses[s];
-    EXPECT_EQ(a.all_schedulable, b.all_schedulable);
-    ASSERT_EQ(a.results.size(), b.results.size());
-    for (std::size_t i = 0; i < a.results.size(); ++i) {
-      EXPECT_EQ(a.results[i].name, b.results[i].name);
-      EXPECT_EQ(a.results[i].max_wait, b.results[i].max_wait);    // bitwise
-      EXPECT_EQ(a.results[i].response, b.results[i].response);    // bitwise
-      EXPECT_EQ(a.results[i].schedulable, b.results[i].schedulable);
-    }
+  for (std::size_t s = 0; s < optimized.analyses.size(); ++s)
+    expect_same_analysis(optimized.analyses[s], reference.analyses[s]);
+}
+
+/// Every analysis `allocation` reports equals analyze_slot of the
+/// applications of its slot.
+void expect_reported_analyses(const std::vector<AppSchedParams>& apps,
+                              const Allocation& allocation, MaxWaitMethod method) {
+  ASSERT_EQ(allocation.analyses.size(), allocation.slots.size());
+  for (std::size_t s = 0; s < allocation.slots.size(); ++s) {
+    std::vector<AppSchedParams> members;
+    for (const auto& name : allocation.slots[s])
+      for (const auto& app : apps)
+        if (app.name == name) members.push_back(app);
+    ASSERT_EQ(members.size(), allocation.slots[s].size()) << "slot " << s;
+    expect_same_analysis(allocation.analyses[s], analyze_slot(members, method));
   }
 }
 
@@ -200,6 +230,36 @@ TEST(AllocatorGolden, HeuristicsStillProduceSchedulableSlots) {
       // Infeasible even on dedicated slots — nothing to check.
     }
   }
+}
+
+TEST(AllocatorGolden, ReportedAnalysesEqualAnalyzeSlot) {
+  // The allocators report each slot's analysis from the feasibility
+  // engine's facts; it must be the analysis analyze_slot computes from
+  // the slot's applications, field by field, for all three allocators
+  // under both wait methods.
+  std::vector<std::vector<AppSchedParams>> fleets = {experiments::paper_sched_params(false),
+                                                     experiments::paper_sched_params(true)};
+  Rng rng(0x5107A11CULL);
+  for (int n = 6; n <= 20; ++n)
+    for (int draw = 0; draw < 2; ++draw)
+      fleets.push_back(
+          experiments::random_sched_params(rng, n, experiments::allocator_ablation_ranges()));
+  int checked = 0;
+  for (const auto& fleet : fleets) {
+    for (const auto method : {MaxWaitMethod::kClosedFormBound, MaxWaitMethod::kFixedPoint}) {
+      AllocationOptions options;
+      options.method = method;
+      try {
+        expect_reported_analyses(fleet, first_fit_allocate(fleet, options), method);
+        expect_reported_analyses(fleet, best_fit_allocate(fleet, options), method);
+        expect_reported_analyses(fleet, optimal_allocate(fleet, options), method);
+        ++checked;
+      } catch (const InfeasibleError&) {
+        // Some application misses its deadline even alone.
+      }
+    }
+  }
+  EXPECT_GE(checked, 40);
 }
 
 /// FNV-1a 64 over the optimal partition of every fleet under `method`:

@@ -7,6 +7,12 @@
 #     the one it writes at --jobs 4.  The *_times.csv wall-clock sidecars
 #     are exempt, so each experiment must write at least one other CSV.
 #
+#   contract.sh shard CPS_RUN WORKDIR
+#     sweep_flexray_params run as two --shard processes that load their
+#     fixtures from a warm store, then --merge 2, equals byte for byte the
+#     unsharded run at --jobs 2, and so does the cold-store run that
+#     warmed the store.  A merge with a missing shard fails.
+#
 #   contract.sh daemon CPS_SERVE CPS_QUERY WORKDIR
 #     A warm cps_serve daemon answers curve, design, sched and alloc
 #     queries (ff and exact) byte-identically to `cps_query --local`,
@@ -54,6 +60,32 @@ jobs_identity() {
     total=$((total + compared))
   done
   echo "contract: $total CSVs byte-identical at --jobs 1 and --jobs 4"
+}
+
+shard_merge() {
+  local cps_run=$1 work=$2
+  local csv=sweep_flexray_params.csv i
+  rm -rf "$work"
+  mkdir -p "$work"
+  run "$work/single.log" "$cps_run" sweep_flexray_params --jobs 2 --csv "$work/single"
+  run "$work/cold.log" "$cps_run" sweep_flexray_params --jobs 2 --csv "$work/cold" \
+    --fixture-store "$work/store"
+  [[ -d $work/store/dwell_wait_curve ]] || fail "the cold run stored no dwell/wait curves"
+  for i in 0 1; do
+    run "$work/shard$i.log" "$cps_run" sweep_flexray_params --jobs 2 --csv "$work/shards" \
+      --fixture-store "$work/store" --shard $i/2
+    grep -Eq 'fixture store .* 0 disk misses, 0 writes' "$work/shard$i.log" \
+      || { cat "$work/shard$i.log"; fail "shard $i/2 did not load every fixture from the store"; }
+  done
+  run "$work/merge.log" "$cps_run" sweep_flexray_params --merge 2 --csv "$work/shards"
+  cmp "$work/single/$csv" "$work/shards/$csv"
+  cmp "$work/single/$csv" "$work/cold/$csv"
+  # The merge's gap check: a missing shard must fail loudly.
+  rm "$work/shards/$csv.shard1of2"
+  if "$cps_run" sweep_flexray_params --merge 2 --csv "$work/shards" > "$work/gap.log" 2>&1; then
+    fail "a merge with a missing shard succeeded"
+  fi
+  echo "contract: two shards from a warm store merge to the unsharded CSV; a gap fails the merge"
 }
 
 serve_pid='' sock_dir=''
@@ -125,6 +157,10 @@ daemon_local() {
 
 case ${1:-} in
   jobs) shift && jobs_identity "$@" ;;
+  shard) shift && shard_merge "$@" ;;
   daemon) shift && daemon_local "$@" ;;
-  *) fail "usage: contract.sh jobs CPS_RUN WORKDIR EXPERIMENT... | daemon CPS_SERVE CPS_QUERY WORKDIR" ;;
+  *)
+    fail "usage: contract.sh jobs CPS_RUN WORKDIR EXPERIMENT... | shard CPS_RUN WORKDIR" \
+      "| daemon CPS_SERVE CPS_QUERY WORKDIR"
+    ;;
 esac

@@ -1,14 +1,17 @@
 // Unit tests for the runtime layer: work-stealing ThreadPool semantics
 // (results, ordering, exception propagation, destructor draining), the
 // ordered parallel_map fan-out and the SharedIncumbent bound, the
-// deterministic per-task seeding of SweepRunner (any job count, chunk
-// size, and shard partition must be bit-identical to the serial run),
+// deterministic per-task seeding of SweepRunner (any job count and shard
+// partition must be bit-identical to the serial run, however the
+// range-stealing workers split the grid), the per-worker workspaces,
 // the shard partition/merge machinery, and the experiment registry
 // catalog.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
@@ -121,64 +124,154 @@ TEST(SweepRunnerTest, ResultsComeBackInIndexOrder) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(results[static_cast<std::size_t>(i)], i * 3);
 }
 
-TEST(SweepRunnerTest, TwoJobSweepBitIdenticalToSerial) {
-  const auto task = [](std::size_t i, Rng& rng) {
-    // Mix several draw kinds so any per-task stream divergence shows up.
-    double acc = rng.uniform(-1.0, 1.0) + rng.gaussian(0.0, 2.0);
-    for (int k = 0; k < static_cast<int>(i % 7); ++k) acc += rng.uniform(0.0, 1.0);
-    return acc;
-  };
-  SweepRunner serial({1, 0xC0FFEE});
-  SweepRunner parallel({2, 0xC0FFEE});
-  const auto expected = serial.run(64, task);
-  const auto actual = parallel.run(64, task);
-  ASSERT_EQ(expected.size(), actual.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    // Exact equality on purpose: the determinism contract is bit-identity.
-    EXPECT_EQ(expected[i], actual[i]) << "index " << i;
+/// A sweep whose last indices cost far more than the rest (like the
+/// n = 20 fleets at the end of sweep_alloc_scaling): the worker owning
+/// the back of the grid is still busy when the others run dry, so they
+/// steal from it.  The result still depends only on the index and its Rng.
+constexpr std::size_t kBackLoadedPoints = 97;  // prime: uneven blocks and shards
+double back_loaded_task(std::size_t index, Rng& rng) {
+  // Mix several draw kinds so any per-task stream divergence shows up.
+  double acc = rng.uniform(-1.0, 1.0) + rng.gaussian(0.0, 2.0);
+  const int rounds = index + 8 >= kBackLoadedPoints ? 20000 : 1 + static_cast<int>(index % 5);
+  for (int k = 0; k < rounds; ++k) acc = 0.5 * acc + rng.uniform(0.0, 1.0);
+  return acc;
+}
+
+TEST(SweepRunnerTest, AnyJobCountAndShardIsBitIdenticalToSerial) {
+  constexpr std::size_t kCount = kBackLoadedPoints;
+  const auto expected = SweepRunner({1, 0xABCDEF}).run(kCount, back_loaded_task);
+  ASSERT_EQ(expected.size(), kCount);
+  for (const int jobs : {2, 3, 4, 8}) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                                     std::size_t{5}}) {
+      std::vector<double> stitched;
+      for (std::size_t shard = 0; shard < shards; ++shard) {
+        SweepRunner runner({jobs, 0xABCDEF, shard, shards});
+        EXPECT_EQ(runner.range(kCount).begin, stitched.size());
+        const auto block = runner.run(kCount, back_loaded_task);
+        stitched.insert(stitched.end(), block.begin(), block.end());
+      }
+      ASSERT_EQ(stitched.size(), kCount);
+      for (std::size_t i = 0; i < kCount; ++i) {
+        // Exact equality on purpose: the determinism contract is bit-identity.
+        EXPECT_EQ(expected[i], stitched[i]) << jobs << " jobs, " << shards << " shards, index "
+                                            << i;
+      }
+    }
   }
 }
 
-TEST(SweepRunnerTest, ChunkSizeNeverChangesResults) {
-  const auto task = [](std::size_t i, Rng& rng) {
-    return rng.uniform(0.0, 1.0) + static_cast<double>(i);
-  };
-  SweepRunner serial({1, 0xABCDEF});
-  const auto expected = serial.run(97, task);  // prime count: ragged chunks
-  for (std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{32},
-                            std::size_t{97}, std::size_t{1000}}) {
-    SweepOptions options{3, 0xABCDEF};
-    options.chunk = chunk;
-    const auto actual = SweepRunner(options).run(97, task);
-    ASSERT_EQ(actual.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i)
-      EXPECT_EQ(expected[i], actual[i]) << "chunk " << chunk << " index " << i;
+TEST(SweepRunnerTest, SpansTileTheShardExactlyOnce) {
+  constexpr std::size_t kCount = kBackLoadedPoints;
+  for (const int jobs : {1, 2, 3, 4, 8}) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+      for (std::size_t shard = 0; shard < shards; ++shard) {
+        SweepRunner runner({jobs, 5, shard, shards});
+        const ShardRange range = runner.range(kCount);
+        std::vector<std::atomic<int>> hits(kCount);
+        // Each result records its index and the size of the span that
+        // evaluated it.
+        const auto spans = runner.run_span_with_workspace<int>(
+            kCount, [&hits](const IndexSpan& span, int&) {
+              std::vector<std::pair<std::size_t, std::size_t>> block;
+              for (std::size_t i = span.begin; i < span.end; ++i) {
+                hits[i].fetch_add(1, std::memory_order_relaxed);
+                Rng rng = span.rng_at(i);
+                back_loaded_task(i, rng);
+                block.emplace_back(i, span.size());
+              }
+              return block;
+            });
+        ASSERT_EQ(spans.size(), range.size());
+        for (std::size_t i = 0; i < kCount; ++i) {
+          const bool inside = i >= range.begin && i < range.end;
+          EXPECT_EQ(hits[i].load(), inside ? 1 : 0) << jobs << " jobs, index " << i;
+        }
+        for (std::size_t j = 0; j < spans.size(); ++j) {
+          EXPECT_EQ(spans[j].first, range.begin + j) << jobs << " jobs";
+          EXPECT_GE(spans[j].second, 1u);
+        }
+        if (jobs <= 1) {
+          EXPECT_EQ(spans.front().second, range.size());
+        }
+      }
+    }
   }
 }
 
-TEST(SweepRunnerTest, WorkspaceIsReusedWithinAWorkerAndResultsStayOrdered) {
+TEST(SweepRunnerTest, EachWorkerKeepsOneWorkspaceForAllItsSpans) {
   struct CountingWorkspace {
+    CountingWorkspace() : id(created().fetch_add(1)) {}
+    static std::atomic<int>& created() {
+      static std::atomic<int> count{0};
+      return count;
+    }
+    int id;
     int uses = 0;
   };
-  const auto count_use = [](std::size_t, Rng&, CountingWorkspace& workspace) {
-    return ++workspace.uses;  // how many indices THIS workspace has served
+  struct Use {
+    int workspace = -1;
+    int ordinal = 0;  // how many indices this workspace had served, this one included
+    std::thread::id thread;
   };
-  // Serial: one workspace serves every index, so the counter must climb
-  // 1..50 — a regression to a fresh workspace per index would return
-  // all-ones here.
-  SweepRunner serial({1, 7});
-  const auto serial_uses = serial.run_with_workspace<CountingWorkspace>(50, count_use);
-  ASSERT_EQ(serial_uses.size(), 50u);
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(serial_uses[static_cast<std::size_t>(i)], i + 1);
-  // Parallel with a pinned chunk size: one workspace per CHUNK, so the
-  // counter restarts at each chunk boundary and climbs within it.
-  SweepOptions options{2, 7};
-  options.chunk = 10;
-  const auto chunked_uses =
-      SweepRunner(options).run_with_workspace<CountingWorkspace>(50, count_use);
-  ASSERT_EQ(chunked_uses.size(), 50u);
-  for (int i = 0; i < 50; ++i)
-    EXPECT_EQ(chunked_uses[static_cast<std::size_t>(i)], i % 10 + 1) << "index " << i;
+  const auto record = [](std::size_t index, Rng& rng, CountingWorkspace& workspace) {
+    back_loaded_task(index, rng);
+    return Use{workspace.id, ++workspace.uses, std::this_thread::get_id()};
+  };
+  // Serial: one workspace serves every index, so the counter climbs
+  // 1..97 — a fresh workspace per index or span would restart it.
+  CountingWorkspace::created() = 0;
+  const auto serial =
+      SweepRunner({1, 7}).run_with_workspace<CountingWorkspace>(kBackLoadedPoints, record);
+  EXPECT_EQ(CountingWorkspace::created().load(), 1);
+  for (std::size_t i = 0; i < serial.size(); ++i)
+    EXPECT_EQ(serial[i].ordinal, static_cast<int>(i) + 1);
+
+  for (const int jobs : {2, 3, 4, 8}) {
+    CountingWorkspace::created() = 0;
+    const auto uses =
+        SweepRunner({jobs, 7}).run_with_workspace<CountingWorkspace>(kBackLoadedPoints, record);
+    const int created = CountingWorkspace::created().load();
+    EXPECT_LE(created, jobs);
+    // Each workspace served its indices on one thread and counted every
+    // one of them: its ordinals are exactly 1..(indices it served).
+    std::vector<std::vector<int>> ordinals(static_cast<std::size_t>(created));
+    std::vector<std::thread::id> thread_of(static_cast<std::size_t>(created));
+    for (const auto& use : uses) {
+      ASSERT_GE(use.workspace, 0);
+      ASSERT_LT(use.workspace, created);
+      const auto w = static_cast<std::size_t>(use.workspace);
+      if (ordinals[w].empty()) thread_of[w] = use.thread;
+      EXPECT_EQ(use.thread, thread_of[w]) << jobs << " jobs, workspace " << w;
+      ordinals[w].push_back(use.ordinal);
+    }
+    for (auto& seen : ordinals) {
+      std::sort(seen.begin(), seen.end());
+      for (std::size_t k = 0; k < seen.size(); ++k)
+        EXPECT_EQ(seen[k], static_cast<int>(k) + 1) << jobs << " jobs";
+    }
+  }
+}
+
+TEST(SweepRunnerTest, AThrowStopsFurtherClaimsAndPropagates) {
+  constexpr std::size_t kCount = 400;
+  for (const int jobs : {1, 2, 4}) {
+    std::atomic<bool> thrown{false};
+    std::atomic<int> started{0};
+    SweepRunner sweep({jobs, 9});
+    EXPECT_THROW(sweep.run(kCount,
+                           [&](std::size_t, Rng&) -> int {
+                             started.fetch_add(1, std::memory_order_relaxed);
+                             if (!thrown.exchange(true)) throw std::runtime_error("boom");
+                             std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                             return 0;
+                           }),
+                 std::runtime_error);
+    // The first call throws.  A worker that has already claimed a span
+    // (at most a quarter of its block: 50 indices at 2 jobs) finishes it,
+    // and no later claim succeeds.
+    EXPECT_LT(started.load(), static_cast<int>(kCount / 2)) << jobs << " jobs";
+  }
 }
 
 TEST(ShardRangeTest, BlocksTileTheRangeExactly) {
@@ -200,42 +293,6 @@ TEST(ShardRangeTest, BlocksTileTheRangeExactly) {
   }
   EXPECT_THROW(shard_range(10, 2, 2), cps::Error);
   EXPECT_THROW(shard_range(10, 0, 0), cps::Error);
-}
-
-TEST(SweepRunnerTest, ShardsReproduceTheUnshardedResultsBitForBit) {
-  const auto task = [](std::size_t i, Rng& rng) {
-    double acc = rng.gaussian(0.0, 1.0);
-    for (int k = 0; k < static_cast<int>(i % 5); ++k) acc += rng.uniform(-1.0, 1.0);
-    return acc;
-  };
-  const std::size_t count = 83;  // prime: uneven shard blocks
-  SweepRunner unsharded({2, 0xFEED});
-  const auto expected = unsharded.run(count, task);
-  for (std::size_t shards : {std::size_t{2}, std::size_t{3}, std::size_t{5}}) {
-    std::vector<double> stitched;
-    for (std::size_t i = 0; i < shards; ++i) {
-      SweepOptions options{2, 0xFEED};
-      options.shard_index = i;
-      options.shard_count = shards;
-      SweepRunner runner(options);
-      EXPECT_EQ(runner.range(count).begin, stitched.size());
-      const auto block = runner.run(count, task);
-      stitched.insert(stitched.end(), block.begin(), block.end());
-    }
-    ASSERT_EQ(stitched.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i)
-      EXPECT_EQ(expected[i], stitched[i]) << shards << " shards, index " << i;
-  }
-}
-
-TEST(SweepRunnerTest, PropagatesTaskExceptions) {
-  SweepRunner sweep({2, 9});
-  EXPECT_THROW(sweep.run(8,
-                         [](std::size_t i, Rng&) -> int {
-                           if (i == 5) throw std::runtime_error("boom");
-                           return 0;
-                         }),
-               std::runtime_error);
 }
 
 TEST(SharedIncumbentTest, ImproveIsAMonotoneMinimum) {
